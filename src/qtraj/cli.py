@@ -19,7 +19,7 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .ensemble import (
     HistogramSpec,
     KSResult,
     TimeSlice,
+    _position_half_width,
     build_histogram,
     central_dip_metric,
     default_histogram_specs,
@@ -55,7 +56,6 @@ from .wavefield import (
     rho,
     schrodinger_residual,
     sigma_t,
-    spread,
 )
 
 #: Documented config keys with their default values (as config-file text).
@@ -362,17 +362,7 @@ def _run_one(
     setup: RunSetup, theory: str, workers: int | None, suffix: str = ""
 ) -> tuple[EnsembleResult, list[Path], list[SliceReport]]:
     """Execute one ensemble and write its three output files."""
-    config = setup.config
-    if theory != config.theory:
-        config = EnsembleConfig(
-            n_traj=config.n_traj,
-            theory=theory,
-            master_seed=config.master_seed,
-            schedule=config.schedule,
-            slice_times=config.slice_times,
-            position_hist=config.position_hist,
-            momentum_hist=config.momentum_hist,
-        )
+    config = replace(setup.config, theory=theory)
     started = _utc_stamp()
     result = run_ensemble(config, setup.params, workers=workers)
     setup.out_dir.mkdir(parents=True, exist_ok=True)
@@ -476,7 +466,7 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
 
     worst = 0.0
     for t in (0.0, 1.0, 3.5, t_final):
-        hw = params.x_half + 12.0 * params.sigma + 4.0 * float(spread(params, t))
+        hw = _position_half_width(params, t)
         total, _ = quad(lambda x: float(rho(x, t, params)), -hw, hw, limit=300)
         worst = max(worst, abs(total - 1.0))
     checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{0, 1, 3.5, {t_final:g}}}"))

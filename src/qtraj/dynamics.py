@@ -22,17 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import THEORIES, InitialCondition
-from .wavefield import (
-    DoubleSlitParams,
-    NodeSingularity,
-    _p_bb_raw,
-    _p_revised_raw,
-    node_floor,
-    p_bb,
-    p_revised,
-    rho,
-)
+from .sampling import InitialCondition
+from .wavefield import DoubleSlitParams, GuidanceField, NodeSingularity
 
 #: Hard cap on step attempts per trajectory, as a multiple of the base-step
 #: count; a lane still unfinished after this many attempts is declared
@@ -119,50 +110,6 @@ class Trajectory:
         if not (len(self.t) == len(self.x) == len(self.p)):
             raise ValueError("t, x, p must have equal lengths")
 
-    @property
-    def samples(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.t.tolist(), self.x.tolist(), self.p.tolist()))
-
-
-def guidance_velocity(theory: str, ic: InitialCondition, x, t, params: DoubleSlitParams):
-    """Velocity p_field / m of the selected guidance law; raises at nodes."""
-    if theory == "dbb":
-        return p_bb(x, t, params) / params.units.mass
-    if theory == "revised":
-        return p_revised(x, t, ic, params) / params.units.mass
-    raise ValueError(f"theory must be one of {THEORIES}, got {theory!r}")
-
-
-def _anchor_offsets(ics: list[InitialCondition], params: DoubleSlitParams) -> np.ndarray:
-    """Per-trajectory correction strength p0 - p_bb(x0, t0) of the revised law."""
-    x0 = np.array([ic.x0 for ic in ics], dtype=float)
-    t0 = ics[0].t0
-    p0 = np.array([ic.p0 for ic in ics], dtype=float)
-    base, valid = _p_bb_raw(x0, t0, params)
-    if not np.all(valid):
-        raise NodeSingularity("initial condition sits below the node floor")
-    return p0 - base
-
-
-class _FieldEvaluator:
-    """Vectorized (momentum, validity) evaluation for a batch of trajectories."""
-
-    def __init__(self, theory: str, ics: list[InitialCondition], params: DoubleSlitParams):
-        self.theory = theory
-        self.params = params
-        if theory == "revised":
-            self.x0 = np.array([ic.x0 for ic in ics], dtype=float)
-            self.delta_p = _anchor_offsets(ics, params)
-        else:
-            self.x0 = None
-            self.delta_p = None
-
-    def __call__(self, x, t, lanes):
-        """Momentum and validity at per-lane (x, t); ``lanes`` selects anchors."""
-        if self.theory == "dbb":
-            return _p_bb_raw(x, t, self.params)
-        return _p_revised_raw(x, t, self.params, self.x0[lanes], self.delta_p[lanes])
-
 
 def integrate_batch(
     ics: list[InitialCondition],
@@ -184,12 +131,10 @@ def integrate_batch(
     span = schedule.t_final - schedule.t0
     stride = schedule.record_stride
     j_max = schedule.max_halvings
-    field = _FieldEvaluator(theory, ics, params)
     mass = params.units.mass
 
     x = np.array([ic.x0 for ic in ics], dtype=float)
-    if np.any(rho(x, schedule.t0, params) <= node_floor(params, schedule.t0)):
-        raise NodeSingularity("initial condition sits below the node floor")
+    field = GuidanceField(theory, params, x, [ic.p0 for ic in ics], schedule.t0)
     k = np.zeros(n, dtype=np.int64)  # completed base cells
     m = np.zeros(n, dtype=np.int64)  # sub-steps completed inside the current cell
     j = np.zeros(n, dtype=np.int64)  # halving level: step = dt_effective / 2**j
@@ -322,13 +267,8 @@ def momentum_along(trajectory: Trajectory, params: DoubleSlitParams) -> np.ndarr
     acceptance rules out.
     """
     ic = trajectory.ic
-    if ic.theory == "dbb":
-        value, valid = _p_bb_raw(trajectory.x, trajectory.t, params)
-    else:
-        base, bvalid = _p_bb_raw(np.asarray(ic.x0, dtype=float), ic.t0, params)
-        if not np.all(bvalid):
-            raise NodeSingularity("initial condition sits below the node floor")
-        value, valid = _p_revised_raw(trajectory.x, trajectory.t, params, ic.x0, ic.p0 - base)
+    field = GuidanceField(ic.theory, params, ic.x0, ic.p0, ic.t0)
+    value, valid = field(trajectory.x, trajectory.t)
     if not np.all(valid):
         raise NodeSingularity("stored trajectory sample violates the node floor")
     return np.asarray(value, dtype=float)

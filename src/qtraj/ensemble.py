@@ -26,14 +26,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import IntegrationSchedule, Trajectory, default_schedule, integrate_batch
 from .sampling import THEORIES, SeededStream, make_initial_conditions
-from .wavefield import (
-    DoubleSlitParams,
-    _p_bb_raw,
-    _p_revised_raw,
-    momentum_density,
-    rho,
-    spread,
-)
+from .wavefield import DoubleSlitParams, GuidanceField, momentum_density, rho, spread
 
 #: Trajectories per integration batch.  Fixed, so batch composition -- and
 #: therefore every computed value -- is independent of the worker count.
@@ -92,11 +85,16 @@ class EnsembleConfig:
                 raise ValueError(f"slice time {t!r} outside [{self.schedule.t0!r}, {self.schedule.t_final!r}]")
 
 
+def _position_half_width(params: DoubleSlitParams, t: float) -> float:
+    """Half-width of a position range that holds the density up to time t."""
+    return params.x_half + 12.0 * params.sigma + 4.0 * float(spread(params, t))
+
+
 def default_histogram_specs(
     params: DoubleSlitParams, t_final: float, n_bins: int = 200
 ) -> tuple[HistogramSpec, HistogramSpec]:
     """Position and momentum histogram specs wide enough for every slice."""
-    x_hw = params.x_half + 12.0 * params.sigma + 4.0 * float(spread(params, t_final))
+    x_hw = _position_half_width(params, t_final)
     p_hw = 6.0 * params.sigma_p
     return HistogramSpec(n_bins, -x_hw, x_hw), HistogramSpec(n_bins, -p_hw, p_hw)
 
@@ -192,20 +190,14 @@ class TimeSlice:
     n_excluded: int
 
 
-def slice_values(
-    result: EnsembleResult,
-    t: float,
-    observable: str,
-    include_stalled_tails: bool = False,
-) -> TimeSlice:
+def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice:
     """Ensemble values of one observable at time t.
 
     Positions are linearly interpolated between the recorded samples that
     bracket t; momenta are re-evaluated from the guidance field at the
     interpolated point rather than interpolated, and come straight from the
     stored samples when t hits the recording grid.  Trajectories whose
-    record ends before t (stalled or exited) are excluded and counted,
-    unless ``include_stalled_tails`` carries their last state forward.
+    record ends before t (stalled or exited) are excluded and counted.
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
@@ -223,10 +215,7 @@ def slice_values(
     for idx, traj in enumerate(result.trajectories):
         tt = traj.t
         if t > tt[-1] + tol:
-            if include_stalled_tails:
-                values.append(float(traj.p[-1] if want_momentum else traj.x[-1]))
-            else:
-                n_excluded += 1
+            n_excluded += 1
             continue
         pos = int(np.searchsorted(tt, t))
         if pos < tt.size and abs(tt[pos] - t) <= tol:
@@ -248,16 +237,10 @@ def slice_values(
             values.append(x_t)
 
     if pending_x:
-        xs = np.array(pending_x, dtype=float)
         ics = [result.trajectories[i].ic for i in pending_traj]
-        if result.config.theory == "dbb":
-            p, valid = _p_bb_raw(xs, t, result.params)
-        else:
-            x0 = np.array([ic.x0 for ic in ics], dtype=float)
-            p0 = np.array([ic.p0 for ic in ics], dtype=float)
-            base, bvalid = _p_bb_raw(x0, ics[0].t0, result.params)
-            p, valid = _p_revised_raw(xs, t, result.params, x0, p0 - base)
-            valid = valid & bvalid
+        x0, p0 = [ic.x0 for ic in ics], [ic.p0 for ic in ics]
+        field = GuidanceField(result.config.theory, result.params, x0, p0, sched.t0)
+        p, valid = field(np.array(pending_x, dtype=float), t)
         # An interpolated point may sit below the node floor even though the
         # recorded samples do not; such values are excluded, not invented.
         values.extend(np.asarray(p, dtype=float)[valid].tolist())
@@ -331,11 +314,11 @@ def ks_critical(n: int, alpha: float) -> float:
 
 
 def ks_test(values, cdf_oracle: Callable[[np.ndarray], np.ndarray], alpha: float = 0.01) -> KSResult:
-    """sup |F_n - F| against a monotone oracle CDF."""
+    """sup |F_n - F| against a monotone oracle CDF; no values give nan and a failed test."""
     v = np.sort(np.asarray(values, dtype=float))
     n = v.size
     if n < 1:
-        raise ValueError("ks_test needs at least one value")
+        return KSResult(statistic=float("nan"), n=0, alpha=alpha, critical_at_alpha=float("nan"))
     f = np.clip(np.asarray(cdf_oracle(v), dtype=float), 0.0, 1.0)
     steps = np.arange(n, dtype=float)
     d_plus = np.max((steps + 1.0) / n - f)
@@ -415,7 +398,7 @@ def position_cdf(
 ) -> TabulatedCDF:
     """Quadrature CDF of the position density at time t on a fine grid."""
     if half_width is None:
-        half_width = params.x_half + 12.0 * params.sigma + 4.0 * float(spread(params, t))
+        half_width = _position_half_width(params, t)
     return _tabulate_cdf(lambda x: rho(x, t, params), -half_width, half_width, n_points)
 
 

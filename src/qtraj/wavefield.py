@@ -121,18 +121,6 @@ def psi(x, t, params: DoubleSlitParams):
     return _scalar_like(value, x, t)
 
 
-def psi_dx(x, t, params: DoubleSlitParams):
-    """Analytic spatial derivative of :func:`psi`."""
-    x = np.asarray(x, dtype=float)
-    denom = _exp_denominator(params, t)
-    left = packet_amplitude("left", x, t, params)
-    right = packet_amplitude("right", x, t, params)
-    value = (-2.0 / denom) * (
-        (x + params.x_half) * left + (x - params.x_half) * right
-    ) / np.sqrt(norm_constant(params))
-    return _scalar_like(value, x, t)
-
-
 def rho(x, t, params: DoubleSlitParams):
     """Position probability density |psi(x, t)|^2."""
     amp = psi(x, t, params)
@@ -183,12 +171,59 @@ def _derivative_ratio(x, t, params: DoubleSlitParams):
         return (-2.0 / denom) * (num / den)
 
 
-def _p_bb_raw(x, t, params: DoubleSlitParams):
-    """Bohm momentum field and validity mask, without raising at nodes."""
+def _guidance_raw(x, t, params: DoubleSlitParams, x0=None, delta_p=None):
+    """Guidance momentum and validity mask, without raising at nodes.
+
+    The Bohm field hbar * Im[(d psi / dx) / psi], plus, when ``delta_p``
+    is given, the revised correction ``delta_p * rho(x0, t) / rho(x, t)``.
+    """
     density = rho(x, t, params)
     valid = np.asarray(density > node_floor(params, t)) & np.isfinite(density)
     value = params.units.hbar * np.imag(_derivative_ratio(x, t, params))
+    if delta_p is not None:
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            value = value + delta_p * (rho(x0, t, params) / density)
+        valid = valid & np.isfinite(np.asarray(value))
     return value, valid
+
+
+class GuidanceField:
+    """Momentum field of one guidance law for a set of anchored trajectories.
+
+    Under the revised law lane i is anchored at ``(x0[i], p0[i])`` at time
+    ``t0``; its correction strength ``p0 - p_bb(x0, t0)`` is computed once
+    here.  ``x0`` is copied, so the caller may reuse its array.  ``x0`` and
+    ``p0`` may be scalars (one anchor for every point) and are ignored under
+    the Bohm law.  Raises :class:`NodeSingularity` if an
+    anchor sits below the node floor.
+    """
+
+    def __init__(self, theory: str, params: DoubleSlitParams, x0=None, p0=None, t0: float = 0.0):
+        if theory not in ("dbb", "revised"):
+            raise ValueError(f"theory must be 'dbb' or 'revised', got {theory!r}")
+        self.params = params
+        self.x0 = self.delta_p = None
+        if theory == "revised":
+            self.x0 = np.array(x0, dtype=float)
+            base, valid = _guidance_raw(self.x0, t0, params)
+            if not np.all(valid):
+                raise NodeSingularity("initial condition sits below the node floor")
+            self.delta_p = np.asarray(p0 - base, dtype=float)
+
+    def __call__(self, x, t, lanes=...):
+        """Momentum and validity at (x, t); ``lanes`` selects the anchors of each point."""
+        if self.delta_p is None:
+            return _guidance_raw(x, t, self.params)
+        return _guidance_raw(x, t, self.params, self.x0[lanes], self.delta_p[lanes])
+
+
+def _checked(law: str, value, valid, x, t):
+    if not np.all(valid):
+        raise NodeSingularity(
+            f"{law} field requested at {int(np.size(valid) - np.count_nonzero(valid))} "
+            "point(s) with density below the node floor"
+        )
+    return _scalar_like(value, x, t)
 
 
 def p_bb(x, t, params: DoubleSlitParams):
@@ -197,22 +232,7 @@ def p_bb(x, t, params: DoubleSlitParams):
     Raises :class:`NodeSingularity` wherever the density is below the node
     floor, since the phase gradient is not meaningful there.
     """
-    value, valid = _p_bb_raw(x, t, params)
-    if not np.all(valid):
-        raise NodeSingularity(
-            f"Bohm field requested at {int(np.size(valid) - np.count_nonzero(valid))} "
-            "point(s) with density below the node floor"
-        )
-    return _scalar_like(value, x, t)
-
-
-def _p_revised_raw(x, t, params: DoubleSlitParams, x0, delta_p):
-    """Anchored momentum field and validity mask; ``delta_p = p0 - p_bb(x0, t0)``."""
-    base, valid = _p_bb_raw(x, t, params)
-    density = rho(x, t, params)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        value = base + delta_p * (rho(x0, t, params) / density)
-    return value, valid & np.isfinite(np.asarray(value))
+    return _checked("Bohm", *_guidance_raw(x, t, params), x, t)
 
 
 def p_revised(x, t, ic, params: DoubleSlitParams):
@@ -222,14 +242,8 @@ def p_revised(x, t, ic, params: DoubleSlitParams):
     the continuity equation intact (it adds an x-independent term to the
     flux) while pinning the field to ``p0`` at the initial point.
     """
-    anchor = p_bb(ic.x0, ic.t0, params)
-    value, valid = _p_revised_raw(x, t, params, ic.x0, ic.p0 - anchor)
-    if not np.all(valid):
-        raise NodeSingularity(
-            f"revised field requested at {int(np.size(valid) - np.count_nonzero(valid))} "
-            "point(s) with density below the node floor"
-        )
-    return _scalar_like(value, x, t)
+    field = GuidanceField("revised", params, ic.x0, ic.p0, ic.t0)
+    return _checked("revised", *field(x, t), x, t)
 
 
 def momentum_density(p, params: DoubleSlitParams):

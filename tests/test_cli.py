@@ -199,6 +199,22 @@ def test_compare_outputs(tmp_path, capsys):
         assert (tmp_path / "cmp" / name).is_file()
 
 
+def test_compare_with_empty_slices_exits_zero(tmp_path, capsys):
+    """At sigma = 0.1 nm every trajectory has exited or stalled before
+    3.5 ps; the empty slices report a nan KS statistic and a failed test."""
+    cfg = _write_config(tmp_path, sigma_nm=0.1, out_dir=tmp_path / "empty")
+    rc = main(["compare", "--config", str(cfg), "--n", "64", "--workers", "1"])
+    assert rc == 0
+    for theory in ("dbb", "revised"):
+        text = (tmp_path / "empty" / f"histograms-{theory}.txt").read_text(encoding="ascii")
+        blocks = [block for block in text.split("[slice]") if block.startswith(" time_ps = 3.5 ")]
+        assert len(blocks) == 2
+        for block in blocks:
+            assert "\nn_contributing = 0\n" in block
+            assert "\nks_statistic = nan\n" in block
+            assert "\nks_passed = false\n" in block
+
+
 def test_coarse_bins_still_produce_reports(tmp_path, capsys):
     cfg = _write_config(tmp_path, bins=4, n_traj=40, dt_ps=0.02, seed=6, out_dir=tmp_path / "o4")
     rc = main(["run", "--config", str(cfg)])

@@ -10,14 +10,13 @@ from qtraj import (
     SeededStream,
     Trajectory,
     default_schedule,
-    guidance_velocity,
     integrate,
     integrate_batch,
     make_initial_conditions,
     momentum_along,
 )
 from qtraj.dynamics import STATUS_COMPLETED, STATUS_EXITED, STATUS_STALLED
-from qtraj.wavefield import p_bb, p_revised
+from qtraj.wavefield import GuidanceField, p_bb, p_revised
 
 
 def _schedule(params, **kw):
@@ -63,18 +62,26 @@ def test_schedule_rejects_bad_values(params, kw):
         _schedule(params, **kw)
 
 
-def test_guidance_velocity_dispatch(params):
-    ic = InitialCondition(x0=20.0, p0=4.0, t0=0.0, theory="revised")
-    x, t = 35.0, 2.0
-    u = params.units
-    assert guidance_velocity("dbb", ic, x, t, params) == pytest.approx(
-        p_bb(x, t, params) / u.mass, rel=1e-14
-    )
-    assert guidance_velocity("revised", ic, x, t, params) == pytest.approx(
-        p_revised(x, t, ic, params) / u.mass, rel=1e-14
-    )
+def test_guidance_field_matches_p_bb_and_p_revised(params):
+    """The field the integrator, the slicer and momentum_along share equals
+    p_bb / p_revised bit for bit, each lane under its own anchor."""
+    ics = [InitialCondition(x0=x0, p0=p0, t0=0.0) for x0, p0 in ((-30.0, 9.0), (20.0, 4.0), (42.0, -2.5))]
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-80.0, 80.0, 60)
+    t = rng.uniform(0.1, 5.0, 60)
+    lanes = np.arange(60) % len(ics)
+    for theory in ("dbb", "revised"):
+        field = GuidanceField(theory, params, [ic.x0 for ic in ics], [ic.p0 for ic in ics], 0.0)
+        p, valid = field(x, t, lanes)
+        assert np.all(valid)
+        for i, ic in enumerate(ics):
+            at = lanes == i
+            expected = p_bb(x[at], t[at], params) if theory == "dbb" else p_revised(x[at], t[at], ic, params)
+            np.testing.assert_array_equal(p[at], expected)
+    with pytest.raises(NodeSingularity):
+        GuidanceField("revised", params, [0.0, 400.0], [0.0, 0.0], 0.0)
     with pytest.raises(ValueError):
-        guidance_velocity("pilot", ic, x, t, params)
+        GuidanceField("pilot", params)
 
 
 # ---------------------------------------------------------------------------

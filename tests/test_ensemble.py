@@ -24,7 +24,7 @@ from qtraj import (
     side_band_peak,
     slice_values,
 )
-from qtraj.wavefield import p_bb
+from qtraj.wavefield import p_bb, p_revised
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +134,19 @@ def test_slice_interpolates_linearly(small_run_dbb):
     np.testing.assert_allclose(sl.values, expected, rtol=1e-14)
 
 
-def test_slice_momentum_reevaluates_field(params, small_run_dbb):
-    _, res = small_run_dbb
+@pytest.mark.parametrize("theory", ["dbb", "revised"])
+def test_slice_momentum_reevaluates_field(params, request, theory):
+    _, res = request.getfixturevalue("small_run_dbb" if theory == "dbb" else "small_run")
     t = 0.0625
     xs = np.asarray(slice_values(res, t, "position").values)
     ps = np.asarray(slice_values(res, t, "momentum").values)
-    np.testing.assert_allclose(ps, p_bb(xs, t, params), rtol=1e-12, atol=1e-15)
+    kept = [tr for tr in res.trajectories if tr.t[-1] >= t]
+    assert len(kept) == xs.size == ps.size
+    if theory == "dbb":
+        expected = p_bb(xs, t, params)
+    else:
+        expected = [p_revised(x, t, tr.ic, params) for x, tr in zip(xs, kept)]
+    np.testing.assert_allclose(ps, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_dbb_samples_conserve_mass_coordinate(params, small_run_dbb):
@@ -206,14 +213,6 @@ def test_revised_stall_fraction_regression(params):
     assert dict(res.status_counts) == {"completed": 335, "node_stalled": 177}
 
 
-def test_slice_tails_carry_last_position(small_run):
-    _, res = small_run
-    sl = slice_values(res, 5.0, "position", include_stalled_tails=True)
-    assert sl.n_contributing == 96
-    frozen = [tr.x[-1] for tr in res.trajectories if tr.status == "node_stalled"]
-    assert set(np.round(frozen, 9)).issubset(set(np.round(sl.values, 9)))
-
-
 def test_slice_time_out_of_range(small_run):
     _, res = small_run
     with pytest.raises(SliceOutOfRange):
@@ -270,6 +269,11 @@ def test_ks_single_value():
     assert res.n == 1
     assert res.statistic == pytest.approx(max(norm.cdf(0.3), 1.0 - norm.cdf(0.3)))
     assert res.critical_at_alpha > 1.0
+
+
+def test_ks_no_values_is_nan_and_fails():
+    res = ks_test([], norm.cdf)
+    assert res.n == 0 and np.isnan(res.statistic) and np.isnan(res.critical_at_alpha) and not res.passed
 
 
 def test_ks_self_consistency_monte_carlo(params):

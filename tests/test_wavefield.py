@@ -23,7 +23,6 @@ from qtraj.wavefield import (
     p_revised,
     packet_amplitude,
     psi,
-    psi_dx,
     rho,
     rho_peak_bound,
     schrodinger_residual,
@@ -96,13 +95,6 @@ def test_rho_is_modulus_squared_of_psi(params, rng):
     x = rng.uniform(-100.0, 100.0, 200)
     t = rng.uniform(0.0, 5.0, 200)
     np.testing.assert_allclose(rho(x, t, params), np.abs(psi(x, t, params)) ** 2, rtol=1e-12)
-
-
-def test_psi_dx_matches_central_difference(params, rng):
-    x, t = _in_band_points(params, rng, 200, rel=1e-6)
-    h = 1e-4
-    fd = (psi(x + h, t, params) - psi(x - h, t, params)) / (2.0 * h)
-    np.testing.assert_allclose(psi_dx(x, t, params), fd, rtol=1e-5, atol=1e-10)
 
 
 def test_envelope_bounds_rho(params, rng):
