@@ -26,18 +26,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import __version__
-from .dynamics import IntegrationSchedule, default_schedule
+from .dynamics import default_schedule
 from .ensemble import (
     EnsembleConfig,
     EnsembleResult,
     Histogram,
-    HistogramSpec,
     KSResult,
     TimeSlice,
-    _position_half_width,
     build_histogram,
     central_dip_metric,
-    default_histogram_specs,
+    default_config,
     ks_test,
     momentum_cdf,
     position_cdf,
@@ -46,13 +44,13 @@ from .ensemble import (
     slice_values,
 )
 from .sampling import THEORIES, InitialCondition, SeededStream, sample_momenta, sample_positions
-from .units import electron_units
 from .wavefield import (
     DoubleSlitParams,
     continuity_residual,
     continuity_truncation_bound,
     envelope_density,
     momentum_density,
+    node_floor,
     rho,
     schrodinger_residual,
     sigma_t,
@@ -74,13 +72,9 @@ CONFIG_DEFAULTS = {
     "out_dir": "qtraj_out",
 }
 
-#: Recording interval target; the stride is dt-dependent so slice times on
-#: multiples of this land exactly on recorded samples.
-_RECORD_INTERVAL_PS = 0.125
-
 #: Finite-difference steps and node-exclusion bands for the verify checks.
 _VERIFY_H_X_FRACTION = 1e-3  # h_x = sigma / 1000
-_VERIFY_H_T_PS = 2.5e-4
+_VERIFY_H_T_FRACTION = 1.5e-4  # h_t = dispersion time tau * 1.5e-4
 _SCHRODINGER_BAND = 1e-2  # require rho >= band * envelope
 _CONTINUITY_BAND = 1e-3
 _SCHRODINGER_TOL = 1e-4
@@ -163,7 +157,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     mass = _parse_float(raw, "mass_me")
     if mass <= 0:
         raise ConfigError("mass_me", f"must be > 0, got {mass!r}")
-    params = DoubleSlitParams(x_half=x_half, sigma=sigma, units=electron_units(mass))
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma, mass=mass)
 
     n_traj = _parse_int(raw, "n_traj")
     if n_traj < 1:
@@ -192,18 +186,15 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     if not slice_times:
         raise ConfigError("slices_ps", "needs at least one slice time")
 
-    stride = max(1, round(_RECORD_INTERVAL_PS / dt))
-    schedule = default_schedule(params, t0=t0, t_final=t_final, dt_base=dt, record_stride=stride)
-    pos_spec, mom_spec = default_histogram_specs(params, t_final, bins)
     try:
-        config = EnsembleConfig(
-            n_traj=n_traj,
+        config = default_config(
+            params,
             theory=theory,
+            n_traj=n_traj,
             master_seed=seed,
-            schedule=schedule,
+            schedule=default_schedule(params, t0=t0, t_final=t_final, dt_base=dt),
             slice_times=slice_times,
-            position_hist=pos_spec,
-            momentum_hist=mom_spec,
+            n_bins=bins,
         )
     except ValueError as exc:
         raise ConfigError("slices_ps", str(exc)) from exc
@@ -359,7 +350,7 @@ def _utc_stamp() -> str:
 
 
 def _run_one(
-    setup: RunSetup, theory: str, workers: int | None, suffix: str = ""
+    setup: RunSetup, theory: str, workers: int, suffix: str = ""
 ) -> tuple[EnsembleResult, list[Path], list[SliceReport]]:
     """Execute one ensemble and write its three output files."""
     config = replace(setup.config, theory=theory)
@@ -393,7 +384,7 @@ def _print_status(result: EnsembleResult) -> None:
     print(f"theory={result.config.theory} n_traj={total}: {summary}")
 
 
-def cmd_run(setup: RunSetup, workers: int | None) -> int:
+def cmd_run(setup: RunSetup, workers: int) -> int:
     result, paths, _ = _run_one(setup, setup.config.theory, workers)
     _print_status(result)
     for path in paths:
@@ -401,7 +392,7 @@ def cmd_run(setup: RunSetup, workers: int | None) -> int:
     return 0
 
 
-def cmd_compare(setup: RunSetup, workers: int | None) -> int:
+def cmd_compare(setup: RunSetup, workers: int) -> int:
     """Both theories on one seed (identical initial positions), side by side."""
     reports: dict[str, dict[tuple[float, str], SliceReport]] = {}
     for theory in THEORIES:
@@ -446,14 +437,16 @@ def _interior_points(
     band: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random (x, t) with rho above ``band`` times the fringe-free envelope."""
+    """Random (x, t) with rho above ``band`` times the fringe-free envelope
+    and above the node floor, where the guidance fields are defined."""
     xs = np.empty(0)
     ts = np.empty(0)
     while xs.size < n:
         t = rng.uniform(0.0, t_final, size=2 * n)
         hw = params.x_half + 3.0 * np.asarray(sigma_t(params, t))
         x = rng.uniform(-1.0, 1.0, size=2 * n) * hw
-        keep = np.asarray(rho(x, t, params)) >= band * np.asarray(envelope_density(x, t, params))
+        density = np.asarray(rho(x, t, params))
+        keep = (density >= band * np.asarray(envelope_density(x, t, params))) & (density > node_floor(params, t))
         xs = np.concatenate([xs, x[keep]])
         ts = np.concatenate([ts, t[keep]])
     return xs[:n], ts[:n]
@@ -466,38 +459,39 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
 
     worst = 0.0
     for t in (0.0, 1.0, 3.5, t_final):
-        hw = _position_half_width(params, t)
+        hw = params.position_half_width(t)
         total, _ = quad(lambda x: float(rho(x, t, params)), -hw, hw, limit=300)
         worst = max(worst, abs(total - 1.0))
     checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{0, 1, 3.5, {t_final:g}}}"))
 
-    p_hw = 10.0 * params.sigma_p
+    p_hw = params.momentum_half_width
     total, _ = quad(lambda p: float(momentum_density(p, params)), -p_hw, p_hw, limit=300)
     err = abs(total - 1.0)
     checks.append(("momentum_norm", err < 1e-6, f"|integral - 1| = {err:.3e}"))
 
     h_x = _VERIFY_H_X_FRACTION * params.sigma
+    h_t = _VERIFY_H_T_FRACTION * params.dispersion_time
     x, t = _interior_points(params, 10_000, t_final, _SCHRODINGER_BAND, rng)
-    residual = np.abs(schrodinger_residual(x, t, params, h_x, _VERIFY_H_T_PS))
+    residual = np.abs(schrodinger_residual(x, t, params, h_x, h_t))
     peak = float(residual.max())
     checks.append(
         ("schrodinger_residual", peak < _SCHRODINGER_TOL, f"max normalized residual = {peak:.3e} at 10^4 points")
     )
 
     x, t = _interior_points(params, 10_000, t_final, _CONTINUITY_BAND, rng)
-    bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, _VERIFY_H_T_PS))
-    resid = np.abs(continuity_residual(x, t, params, h_x, _VERIFY_H_T_PS, theory="dbb"))
+    bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
+    resid = np.abs(continuity_residual(x, t, params, h_x, h_t, theory="dbb"))
     ratio = float((resid / bound).max())
     checks.append(("continuity_dbb", ratio < 1.0, f"max residual/(10 x budget) = {ratio:.3e}"))
 
     x, t = _interior_points(params, 500, t_final, _CONTINUITY_BAND, rng)
-    bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, _VERIFY_H_T_PS))
+    bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
     x0s = sample_positions(20, SeededStream(seed, 0), params, 0.0)
     p0s = sample_momenta(20, SeededStream(seed, 1), params)
     worst_ratio = 0.0
     for x0, p0 in zip(x0s, p0s):
         ic = InitialCondition(x0=float(x0), p0=float(p0), t0=0.0, theory="revised")
-        resid = np.abs(continuity_residual(x, t, params, h_x, _VERIFY_H_T_PS, theory="revised", ic=ic))
+        resid = np.abs(continuity_residual(x, t, params, h_x, h_t, theory="revised", ic=ic))
         worst_ratio = max(worst_ratio, float((resid / bound).max()))
     checks.append(("continuity_revised", worst_ratio < 1.0, f"max residual/(10 x budget) = {worst_ratio:.3e} over 20 ic"))
 
@@ -530,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--seed", type=int, default=None, metavar="N", help="master seed override")
         cmd.add_argument("--n", type=int, default=None, metavar="N", help="trajectory count override")
         cmd.add_argument("--out", default=None, metavar="DIR", help="output directory override")
-        cmd.add_argument("--workers", type=int, default=None, metavar="N", help="integration worker threads")
+        cmd.add_argument("--workers", type=int, default=1, metavar="N", help="integration worker threads (default 1)")
     args = parser.parse_args(argv)
 
     overrides = {

@@ -32,6 +32,10 @@ from .wavefield import DoubleSlitParams, GuidanceField, NodeSingularity
 #: per-lane bookkeeping, so it does not depend on batch composition.
 _MAX_ATTEMPT_FACTOR = 64
 
+#: Recording interval target of the default schedule; the stride is
+#: dt-dependent so slice times on multiples of this land on recorded samples.
+_RECORD_INTERVAL_PS = 0.125
+
 STATUS_COMPLETED = "completed"
 STATUS_EXITED = "exited_domain"
 STATUS_STALLED = "node_stalled"
@@ -81,17 +85,17 @@ def default_schedule(
     t0: float = 0.0,
     t_final: float = 5.0,
     dt_base: float = 0.005,
-    record_stride: int = 25,
 ) -> IntegrationSchedule:
-    """Schedule with the default step control: speed cap 50 sigma_p / m,
+    """Schedule with the default step control: a record every
+    ``_RECORD_INTERVAL_PS`` rounded to whole steps, speed cap 50 sigma_p / m,
     domain bound x_half + 40 sigma, minimum step dt_base / 2**20."""
     return IntegrationSchedule(
         t0=t0,
         t_final=t_final,
         dt_base=dt_base,
-        record_stride=record_stride,
+        record_stride=max(1, round(_RECORD_INTERVAL_PS / dt_base)),
         dt_min=dt_base / 2**20,
-        max_speed=50.0 * params.sigma_p / params.units.mass,
+        max_speed=50.0 * params.sigma_p / params.mass,
         x_bound=params.x_half + 40.0 * params.sigma,
     )
 
@@ -131,7 +135,7 @@ def integrate_batch(
     span = schedule.t_final - schedule.t0
     stride = schedule.record_stride
     j_max = schedule.max_halvings
-    mass = params.units.mass
+    mass = params.mass
 
     x = np.array([ic.x0 for ic in ics], dtype=float)
     field = GuidanceField(theory, params, x, [ic.p0 for ic in ics], schedule.t0)

@@ -26,7 +26,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import IntegrationSchedule, Trajectory, default_schedule, integrate_batch
 from .sampling import THEORIES, SeededStream, make_initial_conditions
-from .wavefield import DoubleSlitParams, GuidanceField, momentum_density, rho, spread
+from .wavefield import DoubleSlitParams, GuidanceField, momentum_density, rho
 
 #: Trajectories per integration batch.  Fixed, so batch composition -- and
 #: therefore every computed value -- is independent of the worker count.
@@ -36,6 +36,9 @@ _BATCH_SIZE = 2048
 _KS_COEFFICIENTS = {0.01: 1.63, 0.05: 1.36}
 
 _OBSERVABLES = ("position", "momentum")
+
+#: Grid points of the tabulated position and momentum CDFs.
+_CDF_POINTS = 65537
 
 
 class SliceOutOfRange(Exception):
@@ -85,16 +88,11 @@ class EnsembleConfig:
                 raise ValueError(f"slice time {t!r} outside [{self.schedule.t0!r}, {self.schedule.t_final!r}]")
 
 
-def _position_half_width(params: DoubleSlitParams, t: float) -> float:
-    """Half-width of a position range that holds the density up to time t."""
-    return params.x_half + 12.0 * params.sigma + 4.0 * float(spread(params, t))
-
-
 def default_histogram_specs(
     params: DoubleSlitParams, t_final: float, n_bins: int = 200
 ) -> tuple[HistogramSpec, HistogramSpec]:
     """Position and momentum histogram specs wide enough for every slice."""
-    x_hw = _position_half_width(params, t_final)
+    x_hw = params.position_half_width(t_final)
     p_hw = 6.0 * params.sigma_p
     return HistogramSpec(n_bins, -x_hw, x_hw), HistogramSpec(n_bins, -p_hw, p_hw)
 
@@ -155,7 +153,7 @@ class EnsembleResult:
 
 
 def run_ensemble(
-    config: EnsembleConfig, params: DoubleSlitParams, workers: int | None = None
+    config: EnsembleConfig, params: DoubleSlitParams, workers: int = 1
 ) -> EnsembleResult:
     """Sample initial conditions and integrate the full ensemble.
 
@@ -168,8 +166,6 @@ def run_ensemble(
         config.n_traj, SeededStream(config.master_seed, 0), params, sched.t0, config.theory
     )
     batches = [ics[i : i + _BATCH_SIZE] for i in range(0, len(ics), _BATCH_SIZE)]
-    if workers is None:
-        workers = 4
     if workers <= 1 or len(batches) == 1:
         batch_results = [integrate_batch(batch, sched, params) for batch in batches]
     else:
@@ -386,26 +382,18 @@ class TabulatedCDF:
         return np.interp(q, self.values, self.grid)
 
 
-def _tabulate_cdf(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n_points: int) -> TabulatedCDF:
-    grid = np.linspace(lo, hi, n_points)
+def _tabulate_cdf(pdf: Callable[[np.ndarray], np.ndarray], half_width: float) -> TabulatedCDF:
+    grid = np.linspace(-half_width, half_width, _CDF_POINTS)
     cdf = cumulative_trapezoid(pdf(grid), grid, initial=0.0)
     cdf /= cdf[-1]
     return TabulatedCDF(grid=grid, values=cdf)
 
 
-def position_cdf(
-    params: DoubleSlitParams, t: float, half_width: float | None = None, n_points: int = 65537
-) -> TabulatedCDF:
+def position_cdf(params: DoubleSlitParams, t: float) -> TabulatedCDF:
     """Quadrature CDF of the position density at time t on a fine grid."""
-    if half_width is None:
-        half_width = _position_half_width(params, t)
-    return _tabulate_cdf(lambda x: rho(x, t, params), -half_width, half_width, n_points)
+    return _tabulate_cdf(lambda x: rho(x, t, params), params.position_half_width(t))
 
 
-def momentum_cdf(
-    params: DoubleSlitParams, half_width: float | None = None, n_points: int = 65537
-) -> TabulatedCDF:
+def momentum_cdf(params: DoubleSlitParams) -> TabulatedCDF:
     """Quadrature CDF of the closed-form momentum density (time independent)."""
-    if half_width is None:
-        half_width = 10.0 * params.sigma_p
-    return _tabulate_cdf(lambda p: momentum_density(p, params), -half_width, half_width, n_points)
+    return _tabulate_cdf(lambda p: momentum_density(p, params), params.momentum_half_width)

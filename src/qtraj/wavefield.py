@@ -16,11 +16,18 @@ All operations accept scalars or numpy arrays (broadcast) for ``x``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .units import UnitSystem, electron_units
+# CODATA 2018: hbar = 1.054571817e-34 J s (from the exact 2019 SI value of h),
+# m_e = 9.1093837015(28)e-31 kg.  In nm/ps/m_e units hbar/m_e comes out near
+# 115.768, which keeps every double-slit quantity at order 1-100.
+_HBAR_SI = 1.054571817e-34
+_ELECTRON_MASS_SI = 9.1093837015e-31
+
+#: hbar in internal units (electron masses * nm^2 / ps).
+HBAR_NM2_ME_PS = _HBAR_SI / _ELECTRON_MASS_SI * 1e6
 
 #: Guidance fields are undefined where rho falls below this fraction of the
 #: analytic peak-density bound at the same time.
@@ -35,35 +42,46 @@ class NodeSingularity(Exception):
 
 @dataclass(frozen=True)
 class DoubleSlitParams:
-    """Physical configuration: slit half-separation, slit width, unit system.
+    """Physical configuration: slit half-separation and width (nm), particle mass (m_e).
 
     ``x_half = 0`` degenerates to a single slit of doubled amplitude.
     """
 
     x_half: float
     sigma: float
-    units: UnitSystem = field(default_factory=electron_units)
+    mass: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not self.x_half >= 0:
             raise ValueError(f"x_half must be nonnegative, got {self.x_half!r}")
+        if not self.mass > 0:
+            raise ValueError(f"mass must be positive, got {self.mass!r}")
 
     @property
     def sigma_p(self) -> float:
         """Momentum-space width hbar / (2 sigma) of a single slit packet."""
-        return self.units.hbar / (2.0 * self.sigma)
+        return HBAR_NM2_ME_PS / (2.0 * self.sigma)
 
     @property
     def dispersion_time(self) -> float:
         """Characteristic spreading time 2 m sigma^2 / hbar."""
-        return 2.0 * self.units.mass * self.sigma ** 2 / self.units.hbar
+        return 2.0 * self.mass * self.sigma ** 2 / HBAR_NM2_ME_PS
+
+    @property
+    def momentum_half_width(self) -> float:
+        """Half-width 10 sigma_p of a momentum range that holds the density."""
+        return 10.0 * self.sigma_p
+
+    def position_half_width(self, t: float) -> float:
+        """Half-width of a position range that holds the density up to time t."""
+        return self.x_half + 12.0 * self.sigma + 4.0 * float(spread(self, t))
 
 
 def spread(params: DoubleSlitParams, t):
     """Extra width hbar*t / (2 m sigma) acquired by a packet after time t."""
-    return params.units.hbar * np.abs(t) / (2.0 * params.units.mass * params.sigma)
+    return HBAR_NM2_ME_PS * np.abs(t) / (2.0 * params.mass * params.sigma)
 
 
 def sigma_t(params: DoubleSlitParams, t):
@@ -73,12 +91,12 @@ def sigma_t(params: DoubleSlitParams, t):
 
 def _exp_denominator(params: DoubleSlitParams, t):
     """Complex denominator 4 sigma^2 + 2i hbar t / m of the packet exponent."""
-    return 4.0 * params.sigma ** 2 + 2.0j * params.units.hbar * np.asarray(t, dtype=float) / params.units.mass
+    return 4.0 * params.sigma ** 2 + 2.0j * HBAR_NM2_ME_PS * np.asarray(t, dtype=float) / params.mass
 
 
 def _prefactor(params: DoubleSlitParams, t):
     """Common packet prefactor (2 pi)^(-1/4) (sigma + i hbar t / (2 m sigma))^(-1/2)."""
-    s = params.sigma + 1.0j * params.units.hbar * np.asarray(t, dtype=float) / (2.0 * params.units.mass * params.sigma)
+    s = params.sigma + 1.0j * HBAR_NM2_ME_PS * np.asarray(t, dtype=float) / (2.0 * params.mass * params.sigma)
     return 1.0 / (_QUARTIC_ROOT_2PI * np.sqrt(s))
 
 
@@ -179,7 +197,7 @@ def _guidance_raw(x, t, params: DoubleSlitParams, x0=None, delta_p=None):
     """
     density = rho(x, t, params)
     valid = np.asarray(density > node_floor(params, t)) & np.isfinite(density)
-    value = params.units.hbar * np.imag(_derivative_ratio(x, t, params))
+    value = HBAR_NM2_ME_PS * np.imag(_derivative_ratio(x, t, params))
     if delta_p is not None:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             value = value + delta_p * (rho(x0, t, params) / density)
@@ -253,7 +271,7 @@ def momentum_density(p, params: DoubleSlitParams):
     time independent for the free double-slit state.
     """
     p = np.asarray(p, dtype=float)
-    hbar = params.units.hbar
+    hbar = HBAR_NM2_ME_PS
     sp = params.sigma_p
     with np.errstate(under="ignore"):
         prefactor = np.sqrt(2.0 / np.pi) / sp / (1.0 + np.exp(-2.0 * sp ** 2 * params.x_half ** 2 / hbar ** 2))
@@ -274,7 +292,7 @@ def schrodinger_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float,
         psi_fn = lambda xx, tt: psi(xx, tt, params)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    hbar, mass = params.units.hbar, params.units.mass
+    hbar, mass = HBAR_NM2_ME_PS, params.mass
     center = psi_fn(x, t)
     d_t = (psi_fn(x, t + h_t) - psi_fn(x, t - h_t)) / (2.0 * h_t)
     d_xx = (psi_fn(x + h_x, t) - 2.0 * center + psi_fn(x - h_x, t)) / h_x ** 2
@@ -312,10 +330,9 @@ def continuity_residual(
             raise ValueError(f"theory must be 'dbb' or 'revised', got {theory!r}")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    mass = params.units.mass
 
     def flux(xx, tt):
-        return rho(xx, tt, params) * momentum_fn(xx, tt) / mass
+        return rho(xx, tt, params) * momentum_fn(xx, tt) / params.mass
 
     d_t_rho = (rho(x, t + h_t, params) - rho(x, t - h_t, params)) / (2.0 * h_t)
     d_x_flux = (flux(x + h_x, t) - flux(x - h_x, t)) / (2.0 * h_x)
@@ -338,7 +355,7 @@ def continuity_truncation_bound(x, t, params: DoubleSlitParams, h_x: float, h_t:
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    hbar, mass = params.units.hbar, params.units.mass
+    hbar, mass = HBAR_NM2_ME_PS, params.mass
     denom = _exp_denominator(params, t)
     width = sigma_t(params, t)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtraj import run_ensemble
+from qtraj import DoubleSlitParams, default_config, run_ensemble
 from qtraj.cli import CONFIG_DEFAULTS, ConfigError, main, parse_config
 
 
@@ -28,8 +28,9 @@ FAST = dict(n_traj=150, dt_ps=0.02, theory="dbb", seed=9)
 
 def test_defaults():
     setup = parse_config()
-    assert setup.params.x_half == 50.0 and setup.params.sigma == 10.0
+    assert setup.params == DoubleSlitParams(50.0, 10.0)
     cfg = setup.config
+    assert cfg == default_config(setup.params)  # CLI and library defaults are one
     assert cfg.n_traj == 40000
     assert cfg.theory == "revised"
     assert cfg.master_seed == 1
@@ -166,6 +167,18 @@ def test_run_worker_count_does_not_change_output(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_workers_default_to_one(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(config, params, workers):
+        seen.append(workers)
+        return run_ensemble(config, params, workers)
+
+    monkeypatch.setattr("qtraj.cli.run_ensemble", spy)
+    assert main(["run", "--theory", "dbb", "--n", "8", "--out", str(tmp_path / "o")]) == 0
+    assert seen == [1]
+
+
 def test_run_cli_flag_overrides(tmp_path, capsys):
     rc = main(
         ["run", "--theory", "dbb", "--n", "32", "--seed", "4", "--out", str(tmp_path / "o")]
@@ -230,6 +243,22 @@ def test_verify_passes(capsys):
     assert rc == 0
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+def test_verify_time_step_scales_with_mass(tmp_path, capsys):
+    """At 0.01 electron masses tau is 100x shorter; a fixed h_t fails there."""
+    cfg = _write_config(tmp_path, mass_me=0.01)
+    assert main(["verify", "--config", str(cfg)]) in (0, 1)
+    assert "PASS schrodinger_residual:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("physics", [{"x_half_nm": 500, "sigma_nm": 5}, {"sigma_nm": 0.1}])
+def test_verify_reports_instead_of_raising(tmp_path, capsys, physics):
+    """Sample points below the node floor are skipped, not raised on."""
+    cfg = _write_config(tmp_path, **physics)
+    assert main(["verify", "--config", str(cfg)]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if line.startswith(("PASS ", "FAIL "))]) == 5
 
 
 # ---------------------------------------------------------------------------

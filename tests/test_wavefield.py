@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity
 from qtraj.wavefield import (
+    HBAR_NM2_ME_PS,
     NODE_FLOOR_RELATIVE,
     _prefactor,
     continuity_residual,
@@ -35,6 +36,18 @@ RHO_ORIGIN_REF = 2.9734279485338990646e-07  # rho(0, 0)
 SIGMA_P_REF = 5.7883818025271487133  # hbar / (2 sigma), nm me / ps
 MOMENTUM_DENSITY_ZERO_REF = 0.13784190721948746082  # momentum density at p=0
 MOMENTUM_SECOND_MOMENT_REF = 33.50224233169468699  # integral of p^2 * density
+
+# CODATA 2018: hbar = 1.054571817e-34 J s, m_e = 9.1093837015e-31 kg.
+# 1 J s / kg = 1 m^2/s = 1e6 nm^2/ps, so hbar/m_e in nm^2/ps is the SI ratio
+# scaled by 1e6.
+_HBAR_SI = 1.054571817e-34
+_MASS_SI = 9.1093837015e-31
+
+
+def test_hbar_over_electron_mass_value():
+    assert HBAR_NM2_ME_PS == pytest.approx(_HBAR_SI / _MASS_SI * 1e6, rel=1e-15)
+    # frozen literal so any accidental constant edit fails loudly
+    assert HBAR_NM2_ME_PS == pytest.approx(115.76763605054297, abs=1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +141,7 @@ def test_momentum_density_symmetric_with_interference_zeros(params):
         momentum_density(p, params), momentum_density(-p, params), rtol=1e-13
     )
     # cos^2(X p / hbar) vanishes at p = pi hbar / (2 X)
-    p_zero = np.pi * params.units.hbar / (2.0 * params.x_half)
+    p_zero = np.pi * HBAR_NM2_ME_PS / (2.0 * params.x_half)
     assert momentum_density(p_zero, params) < 1e-25
     assert momentum_density(0.0, params) > momentum_density(p, params).max()
 
@@ -155,8 +168,7 @@ def test_schrodinger_residual_flags_corrupted_field(params, rng):
     """An exponent width inconsistent with the prefactor must fail the check."""
 
     def psi_bad(x, t, p=params):
-        u = p.units
-        d_bad = 4.0 * p.sigma**2 * 1.01 + 2j * u.hbar * np.asarray(t, dtype=float) / u.mass
+        d_bad = 4.0 * p.sigma**2 * 1.01 + 2j * HBAR_NM2_ME_PS * np.asarray(t, dtype=float) / p.mass
         pref = _prefactor(p, t)
         left = pref * np.exp(-((np.asarray(x) + p.x_half) ** 2) / d_bad)
         right = pref * np.exp(-((np.asarray(x) - p.x_half) ** 2) / d_bad)
@@ -197,7 +209,7 @@ def test_p_bb_matches_phase_gradient(params, rng):
     h = 1e-4
     dphase = np.angle(psi(x + h, t, params)) - np.angle(psi(x - h, t, params))
     # h is far below the fringe scale, so no phase wrapping occurs in-band
-    ref = params.units.hbar * dphase / (2.0 * h)
+    ref = HBAR_NM2_ME_PS * dphase / (2.0 * h)
     np.testing.assert_allclose(p_bb(x, t, params), ref, rtol=1e-6, atol=1e-6)
 
 
@@ -296,7 +308,7 @@ def test_truncation_bound_positive_and_finite(params, rng):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kw", [{"x_half": -1.0}, {"sigma": 0.0}])
+@pytest.mark.parametrize("kw", [{"x_half": -1.0}, {"sigma": 0.0}, {"mass": 0.0}, {"mass": -1.0}])
 def test_params_reject_nonpositive(kw):
     base = {"x_half": 50.0, "sigma": 10.0}
     base.update(kw)
