@@ -524,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--seed", type=int, default=None, metavar="N", help="master seed override")
         cmd.add_argument("--n", type=int, default=None, metavar="N", help="trajectory count override")
         cmd.add_argument("--out", default=None, metavar="DIR", help="output directory override")
-        cmd.add_argument("--workers", type=int, default=1, metavar="N", help="integration worker threads (default 1)")
+        cmd.add_argument("--workers", type=int, default=1, metavar="N", help="worker threads for the trajectory batches (default 1)")
     args = parser.parse_args(argv)
 
     overrides = {

@@ -1,18 +1,30 @@
-"""Trajectory integration under either guidance law.
+"""Trajectories under either guidance law: exact transport and RK4.
 
 The equation of motion is ``m dx/dt = p_field(x, t)`` with the field given
 by the Bohm phase gradient ("dbb") or its density-anchored revision
-("revised").  Steps use classical fourth-order Runge-Kutta on a fixed base
-grid, with dyadic halving of the step whenever a stage lands in a
-node-floor region or the step implies a speed above the configured cap;
-the step recovers toward the base size after accepted sub-steps.
+("revised").  In one dimension either law moves a trajectory along a known
+mass coordinate,
 
-Step times are bookkept as exact dyadic fractions of the base grid, so a
-recorded sample at base cell k has bit-identical time in every trajectory
-and the recording grid never drifts.  Trajectories in a batch evolve in
-lockstep over numpy lanes; elementwise kernels make each lane's arithmetic
-independent of the batch it rides in, so integrating one trajectory alone
-reproduces its in-batch result bit for bit.
+    F_t(x(t)) = F_0(x0) + (delta_p / m) * integral_{t0}^{t} rho(x0, s) ds,
+
+with delta_p = p0 - p_bb(x0, t0) (zero under the Bohm law), because the
+revised correction adds an x-independent term to the probability flux.
+:func:`transport_batch` builds trajectories from that identity: each
+recorded position is the quantile of the closed-form position CDF, and a
+trajectory whose right-hand side leaves (0, 1) has escaped to infinity.
+
+:func:`integrate_batch` integrates the same equation with classical
+fourth-order Runge-Kutta on a fixed base grid, with dyadic halving of the
+step whenever a stage lands in a node-floor region or the step implies a
+speed above the configured cap; the step recovers toward the base size
+after accepted sub-steps.
+
+Both engines record on the same grid: step times are bookkept as exact
+dyadic fractions of the base grid, so a recorded sample at base cell k has
+bit-identical time in every trajectory and the recording grid never
+drifts.  Trajectories in a batch evolve over numpy lanes; elementwise
+kernels make each lane's arithmetic independent of the batch it rides in,
+so one trajectory alone reproduces its in-batch result bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import InitialCondition
-from .wavefield import DoubleSlitParams, GuidanceField, NodeSingularity
+from .wavefield import (
+    DoubleSlitParams,
+    GuidanceField,
+    NodeSingularity,
+    inverse_mass_coordinate,
+    mass_coordinate,
+    rho,
+)
 
 #: Hard cap on step attempts per trajectory, as a multiple of the base-step
 #: count; a lane still unfinished after this many attempts is declared
@@ -39,6 +58,9 @@ _RECORD_INTERVAL_PS = 0.125
 STATUS_COMPLETED = "completed"
 STATUS_EXITED = "exited_domain"
 STATUS_STALLED = "node_stalled"
+
+#: Gauss-Legendre rule for the time integral of rho over each record interval.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -115,19 +137,111 @@ class Trajectory:
             raise ValueError("t, x, p must have equal lengths")
 
 
-def integrate_batch(
-    ics: list[InitialCondition],
-    schedule: IntegrationSchedule,
-    params: DoubleSlitParams,
-) -> list[Trajectory]:
-    """Integrate a batch of same-theory trajectories in vectorized lockstep."""
-    if not ics:
-        return []
+def _batch_theory(ics: list[InitialCondition], schedule: IntegrationSchedule) -> str:
+    """The one theory of a non-empty batch whose anchors all sit at the schedule's t0."""
     theory = ics[0].theory
     if any(ic.theory != theory for ic in ics):
         raise ValueError("all initial conditions in a batch must share one theory")
     if any(ic.t0 != schedule.t0 for ic in ics):
         raise ValueError("initial-condition t0 must match the schedule t0")
+    return theory
+
+
+def _trajectories(ics, rec_t, rec_x, rec_p, rec_n, status) -> list[Trajectory]:
+    return [
+        Trajectory(
+            ic=ics[i],
+            t=rec_t[i, : rec_n[i]].copy(),
+            x=rec_x[i, : rec_n[i]].copy(),
+            p=rec_p[i, : rec_n[i]].copy(),
+            status=str(status[i]),
+        )
+        for i in range(len(ics))
+    ]
+
+
+def transport_batch(
+    ics: list[InitialCondition],
+    schedule: IntegrationSchedule,
+    params: DoubleSlitParams,
+) -> list[Trajectory]:
+    """Trajectories of a same-theory batch by exact mass-coordinate transport.
+
+    Records fall on the grid :func:`integrate_batch` uses (every
+    ``record_stride`` base cells and at t_final); no step loop runs, so the
+    schedule's step-control limits and domain bound play no part.  At each
+    record the target u = F_0(x0) + (delta_p / m) * integral of rho(x0, s)
+    is advanced by an 8-point Gauss-Legendre rule over the record interval,
+    and x is the inverse of the closed-form mass coordinate at u.  A lane
+    whose u leaves (0, 1) has escaped to infinity and stops at its last
+    record in range, marked ``node_stalled``; so does a lane whose inverse
+    does not converge or whose x sits below the node floor, where no
+    momentum is defined.  Momenta are the guidance field at the exact x.
+    """
+    if not ics:
+        return []
+    theory = _batch_theory(ics, schedule)
+    n = len(ics)
+    n_base = schedule.n_base
+    span = schedule.t_final - schedule.t0
+    cells = [k for k in range(n_base + 1) if k % schedule.record_stride == 0 or k == n_base]
+    times = [schedule.t0 + (k / n_base) * span for k in cells]
+
+    x0 = np.array([ic.x0 for ic in ics], dtype=float)
+    field = GuidanceField(theory, params, x0, [ic.p0 for ic in ics], schedule.t0)
+    p_start, valid0 = field(x0, schedule.t0, np.arange(n))
+    if not np.all(valid0):
+        raise NodeSingularity("guidance field undefined at an initial condition")
+
+    rec_t = np.tile(times, (n, 1))
+    rec_x = np.empty((n, len(times)), dtype=float)
+    rec_p = np.empty((n, len(times)), dtype=float)
+    rec_x[:, 0] = x0
+    rec_p[:, 0] = p_start
+    rec_n = np.ones(n, dtype=np.int64)
+    status = np.full(n, STATUS_COMPLETED, dtype=object)
+
+    u_start = mass_coordinate(x0, schedule.t0, params)
+    drift = None if field.delta_p is None else field.delta_p / params.mass
+    swept = np.zeros(n)  # integral of rho(x0, s) ds from t0 to the last record
+    active = np.ones(n, dtype=bool)
+    for r in range(1, len(times)):
+        lanes = np.flatnonzero(active)
+        if lanes.size == 0:
+            break
+        t_lo, t_hi = times[r - 1], times[r]
+        u = u_start[lanes]
+        if drift is not None:
+            half = 0.5 * (t_hi - t_lo)
+            anchors = x0[lanes]
+            piece = np.zeros(lanes.size)
+            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                piece += weight * rho(anchors, t_lo + half * (node + 1.0), params)
+            swept[lanes] += half * piece
+            u = u + drift[lanes] * swept[lanes]
+        x, ok = inverse_mass_coordinate(u, t_hi, params)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+            p, valid = field(x, t_hi, lanes)
+        keep = ok & valid
+        stop = lanes[~keep]
+        status[stop] = STATUS_STALLED
+        active[stop] = False
+        kept = lanes[keep]
+        rec_x[kept, r] = x[keep]
+        rec_p[kept, r] = p[keep]
+        rec_n[kept] = r + 1
+    return _trajectories(ics, rec_t, rec_x, rec_p, rec_n, status)
+
+
+def integrate_batch(
+    ics: list[InitialCondition],
+    schedule: IntegrationSchedule,
+    params: DoubleSlitParams,
+) -> list[Trajectory]:
+    """Integrate a batch of same-theory trajectories with RK4 in vectorized lockstep."""
+    if not ics:
+        return []
+    theory = _batch_theory(ics, schedule)
 
     n = len(ics)
     n_base = schedule.n_base
@@ -246,16 +360,7 @@ def integrate_batch(
     else:
         finish(np.flatnonzero(active), STATUS_STALLED)
 
-    return [
-        Trajectory(
-            ic=ics[i],
-            t=rec_t[i, : rec_n[i]].copy(),
-            x=rec_x[i, : rec_n[i]].copy(),
-            p=rec_p[i, : rec_n[i]].copy(),
-            status=str(status[i]),
-        )
-        for i in range(n)
-    ]
+    return _trajectories(ics, rec_t, rec_x, rec_p, rec_n, status)
 
 
 def integrate(ic: InitialCondition, schedule: IntegrationSchedule, params: DoubleSlitParams) -> Trajectory:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, wofz
 
 # CODATA 2018: hbar = 1.054571817e-34 J s (from the exact 2019 SI value of h),
 # m_e = 9.1093837015(28)e-31 kg.  In nm/ps/m_e units hbar/m_e comes out near
@@ -34,6 +35,16 @@ HBAR_NM2_ME_PS = _HBAR_SI / _ELECTRON_MASS_SI * 1e6
 NODE_FLOOR_RELATIVE = 1e-12
 
 _QUARTIC_ROOT_2PI = (2.0 * np.pi) ** 0.25
+
+#: Nodes of the table that seeds the inverse mass coordinate, spread over
+#: +-(x_half + 12 sigma_t); every seed is refined and checked by Newton steps.
+_QUANTILE_TABLE_POINTS = 2049
+_QUANTILE_TABLE_HALF_WIDTHS = 12.0
+#: An inverse is accepted once |F_t(x) - u| is at most this, or once its
+#: bracket has shrunk to adjacent doubles (where F's slope times one ulp of
+#: x exceeds it).
+_QUANTILE_TOL = 1e-14
+_QUANTILE_MAX_ITER = 100
 
 
 class NodeSingularity(Exception):
@@ -167,6 +178,107 @@ def rho_peak_bound(params: DoubleSlitParams, t):
 def node_floor(params: DoubleSlitParams, t):
     """Density threshold below which the guidance fields are undefined at time t."""
     return NODE_FLOOR_RELATIVE * rho_peak_bound(params, t)
+
+
+def mass_coordinate(x, t, params: DoubleSlitParams):
+    """Position CDF F_t(x), the integral of rho(x', t) over x' < x, in closed form.
+
+    Each packet contributes a Gaussian CDF of width sigma_t; the cross term
+    2 Re conj(psi_l) psi_r integrates to a complex erfc, whose large
+    exponential prefactor is folded into the Faddeeva function w(z) =
+    exp(-z^2) erfc(-iz), so nothing overflows at any X / sigma.  The state
+    is mirror symmetric, so only x <= 0 is evaluated and F_t(x) =
+    1 - F_t(-x) gives the rest; there the Faddeeva argument lies in the
+    upper half plane, where |w| <= 1.  ``t`` must be a scalar or broadcast
+    with ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    left = -np.abs(x)
+    width = sigma_t(params, t)
+    x_half = params.x_half
+    direct = ndtr((left + x_half) / width) + ndtr((left - x_half) / width)
+    # conj(psi_l) psi_r ~ exp(-alpha (x + x_half beta / alpha)^2 + shift), a = 1/D,
+    # alpha = 2 Re a = 1 / (2 sigma_t^2), beta = conj(a) - a; exp(shift) erfc(z)
+    # with z = -sqrt(alpha) (x + x_half beta / alpha) equals exp(shift - z^2) w(iz).
+    a = 1.0 / _exp_denominator(params, t)
+    alpha = 2.0 * np.real(a)
+    beta = np.conj(a) - a
+    z = -np.sqrt(alpha) * (left + x_half * beta / alpha)
+    with np.errstate(under="ignore"):
+        cross = np.exp(-alpha * (left ** 2 + x_half ** 2) - 2.0 * left * x_half * beta) * wofz(1.0j * z)
+    lower = (direct + np.real(cross)) / norm_constant(params)
+    value = np.where(x > 0.0, 1.0 - lower, lower)
+    return _scalar_like(value, x, t)
+
+
+def inverse_mass_coordinate(u, t: float, params: DoubleSlitParams) -> tuple[np.ndarray, np.ndarray]:
+    """Positions x with F_t(x) = u, and a mask of the entries that converged.
+
+    A table of F and rho (= dF/dx) on ``_QUANTILE_TABLE_POINTS`` nodes over
+    +-(x_half + 12 sigma_t) brackets each u and seeds it by monotone cubic
+    Hermite interpolation of x(F).  Newton steps x -= (F - u) / rho then
+    refine it inside the bracket, bisecting whenever a step would leave it,
+    until an evaluation confirms |F_t(x) - u| <= ``_QUANTILE_TOL`` or the
+    bracket spans adjacent doubles.  Entries that never get there, and any u
+    outside (0, 1), are marked False; their x is not a solution.  Each
+    entry's arithmetic depends only on (u, t), not on the other entries.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    t = float(t)
+    width = float(sigma_t(params, t))
+    half = params.x_half + _QUANTILE_TABLE_HALF_WIDTHS * width
+    grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
+    table = np.maximum.accumulate(mass_coordinate(grid, t, params))
+    slope = rho(grid, t, params)
+
+    # Bracket [lo, hi]; beyond the table, out to 40 sigma_t where F underflows.
+    i = np.clip(np.searchsorted(table, u, side="right"), 0, grid.size)
+    far = params.x_half + 40.0 * width
+    lo = np.where(i > 0, grid[np.maximum(i - 1, 0)], -far)
+    hi = np.where(i < grid.size, grid[np.minimum(i, grid.size - 1)], far)
+    inside = (i > 0) & (i < grid.size)
+    j = np.clip(i - 1, 0, grid.size - 2)
+    f_lo, f_hi = table[j], table[j + 1]
+    step = grid[1] - grid[0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        s = np.clip((u - f_lo) / (f_hi - f_lo), 0.0, 1.0)
+        # Tangents dx/ds = (F_hi - F_lo) / rho, capped at 3 steps so the
+        # interpolant stays monotone and inside its bracket.
+        m_lo = np.minimum((f_hi - f_lo) / slope[j], 3.0 * step)
+        m_hi = np.minimum((f_hi - f_lo) / slope[j + 1], 3.0 * step)
+        s2, s3 = s * s, s * s * s
+        seed = (
+            (2.0 * s3 - 3.0 * s2 + 1.0) * grid[j]
+            + (s3 - 2.0 * s2 + s) * m_lo
+            + (-2.0 * s3 + 3.0 * s2) * grid[j + 1]
+            + (s3 - s2) * m_hi
+        )
+    seed = np.where(inside & np.isfinite(seed), np.clip(seed, lo, hi), 0.5 * (lo + hi))
+
+    x = seed
+    done = np.zeros(u.shape, dtype=bool)
+    active = (u > 0.0) & (u < 1.0)
+    for _ in range(_QUANTILE_MAX_ITER):
+        lanes = np.flatnonzero(active)
+        if lanes.size == 0:
+            break
+        xa, ua, la, ha = x[lanes], u[lanes], lo[lanes], hi[lanes]
+        residual = mass_coordinate(xa, t, params) - ua
+        hit = np.abs(residual) <= _QUANTILE_TOL
+        below = residual < 0.0
+        la = np.where(below, xa, la)
+        ha = np.where(below, ha, xa)
+        finished = hit | (np.nextafter(la, np.inf) >= ha)
+        lo[lanes], hi[lanes] = la, ha
+        done[lanes] = finished
+        active[lanes] = ~finished
+        go = ~finished
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            newton = xa[go] - residual[go] / rho(xa[go], t, params)
+        ok = np.isfinite(newton) & (newton > la[go]) & (newton < ha[go])
+        x[lanes[go]] = np.where(ok, newton, 0.5 * (la[go] + ha[go]))
+    return x, done
 
 
 def _derivative_ratio(x, t, params: DoubleSlitParams):

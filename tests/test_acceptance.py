@@ -15,14 +15,13 @@ is out of reach for any correct dbb program here: the closed form gives
 Criterion 5 documents real behavior of the revised guidance law and stays
 red.  The law drifts each mass coordinate at rate
 (p0 - p_bb(x0, t0)) rho(x0, t) / m; a trajectory whose coordinate reaches 0
-or 1 escapes to infinity in finite time, and others exceed the speed cap on
-finite paths.  In closed form 9365 of the 40000 seed-1 trajectories escape,
-and the survivors' positions at t=5 give D=0.0373, as the integrated
-ensemble does (0.0377), so no integrator fix passes the t=5 revised KS
-clause.  Its 120 s build-time clause also fails on a 2-core machine, where
-the builds take 111-140 s (dbb) and 187-281 s (revised).  The assertions
-state the required bounds verbatim and fail honestly rather than loosening
-them.
+or 1 escapes to infinity in finite time.  Ensembles are built by exact
+transport along that mass coordinate, so they stop exactly the 9365 of the
+40000 seed-1 trajectories that escape in closed form, and the survivors'
+positions at t=5 give D=0.0373: the fault is in the law, and no numerical
+fix passes the t=5 revised KS clause.  Its 120 s build-time clause passes:
+each build takes seconds on a 2-core machine.  The assertions state the
+required bounds verbatim and fail honestly rather than loosening them.
 """
 
 import hashlib

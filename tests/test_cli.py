@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtraj import DoubleSlitParams, default_config, run_ensemble
-from qtraj.cli import CONFIG_DEFAULTS, ConfigError, main, parse_config
+from qtraj import DoubleSlitParams, EnsembleResult, Trajectory, default_config, p_bb, rho, run_ensemble
+from qtraj.cli import CONFIG_DEFAULTS, ConfigError, build_slice_report, main, parse_config, write_histograms
+from qtraj.wavefield import mass_coordinate
 
 
 def _write_config(tmp_path, **kw):
@@ -213,19 +214,50 @@ def test_compare_outputs(tmp_path, capsys):
 
 
 def test_compare_with_empty_slices_exits_zero(tmp_path, capsys):
-    """At sigma = 0.1 nm every trajectory has exited or stalled before
-    3.5 ps; the empty slices report a nan KS statistic and a failed test."""
-    cfg = _write_config(tmp_path, sigma_nm=0.1, out_dir=tmp_path / "empty")
+    """At sigma = 0.1 nm the packets spread to ~2900 nm by 5 ps.  Every dbb
+    trajectory completes, every revised stop is a closed-form escape, and no
+    sample is nan."""
+    params = DoubleSlitParams(50.0, 0.1)
+    cfg = _write_config(tmp_path, sigma_nm=0.1, out_dir=tmp_path / "narrow")
     rc = main(["compare", "--config", str(cfg), "--n", "64", "--workers", "1"])
     assert rc == 0
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    s = np.arange(40)[:, None] * 0.125 + 0.0625 * (nodes + 1.0)
     for theory in ("dbb", "revised"):
-        text = (tmp_path / "empty" / f"histograms-{theory}.txt").read_text(encoding="ascii")
-        blocks = [block for block in text.split("[slice]") if block.startswith(" time_ps = 3.5 ")]
-        assert len(blocks) == 2
-        for block in blocks:
-            assert "\nn_contributing = 0\n" in block
-            assert "\nks_statistic = nan\n" in block
-            assert "\nks_passed = false\n" in block
+        path = tmp_path / "narrow" / f"trajectories-{theory}.csv"
+        samples = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2, 3))
+        assert np.all(np.isfinite(samples))
+        status = {}
+        for line in path.read_text(encoding="ascii").splitlines()[1:]:
+            status.setdefault(int(line.split(",", 1)[0]), line.rsplit(",", 1)[1])
+        first = np.searchsorted(samples[:, 0], np.arange(64))
+        x0, p0 = samples[first, 2], samples[first, 3]
+        swept = (0.0625 * rho(x0[:, None, None], s[None], params) * weights).sum(axis=(1, 2))
+        final = mass_coordinate(x0, 0.0, params) + (p0 - p_bb(x0, 0.0, params)) / params.mass * swept
+        escapes = (final <= 0.0) | (final >= 1.0)
+        np.testing.assert_array_equal(escapes, [status[i] == "node_stalled" for i in range(64)])
+        assert set(status.values()) <= {"completed", "node_stalled"}
+    dbb = (tmp_path / "narrow" / "histograms-dbb.txt").read_text(encoding="ascii")
+    assert dbb.count("\nn_contributing = 64\n") == 6
+
+
+def test_empty_slice_report_is_nan_and_failed(tmp_path):
+    """A slice no trajectory reaches reports a nan KS statistic and a failed test."""
+    params = DoubleSlitParams(50.0, 10.0)
+    res = run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2), params)
+    cut = [
+        Trajectory(ic=tr.ic, t=tr.t[:20], x=tr.x[:20], p=tr.p[:20], status="node_stalled")
+        for tr in res.trajectories
+    ]
+    stopped = EnsembleResult(config=res.config, params=params, trajectories=cut)
+    reports = [build_slice_report(stopped, 3.5, obs) for obs in ("position", "momentum")]
+    for report in reports:
+        assert report.slice.n_contributing == 0 and report.slice.n_excluded == 8
+        assert np.isnan(report.ks.statistic) and not report.ks.passed
+    text = write_histograms(reports, tmp_path / "h.txt").read_text(encoding="ascii")
+    assert text.count("\nn_contributing = 0\n") == 2
+    assert text.count("\nks_statistic = nan\n") == 2
+    assert text.count("\nks_passed = false\n") == 2
 
 
 def test_coarse_bins_still_produce_reports(tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtraj import (
+    DoubleSlitParams,
     InitialCondition,
     IntegrationSchedule,
     NodeSingularity,
@@ -15,8 +18,10 @@ from qtraj import (
     make_initial_conditions,
     momentum_along,
 )
-from qtraj.dynamics import STATUS_COMPLETED, STATUS_EXITED, STATUS_STALLED
-from qtraj.wavefield import GuidanceField, p_bb, p_revised
+from qtraj.dynamics import STATUS_COMPLETED, STATUS_EXITED, STATUS_STALLED, transport_batch
+from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _schedule(params, **kw):
@@ -128,14 +133,16 @@ def test_runaway_exits_small_domain(params):
 
 
 def test_integrate_batch_matches_sequential(params, schedule):
+    """Either engine gives each lane the same bytes alone as in a batch."""
     ics = make_initial_conditions(48, SeededStream(6), params, theory="revised")
-    batch = integrate_batch(ics, schedule, params)
-    for ic, tb in zip(ics, batch):
-        ts = integrate(ic, schedule, params)
-        assert ts.status == tb.status
-        np.testing.assert_array_equal(np.asarray(ts.t), np.asarray(tb.t))
-        np.testing.assert_array_equal(np.asarray(ts.x), np.asarray(tb.x))
-        np.testing.assert_array_equal(np.asarray(ts.p), np.asarray(tb.p))
+    for engine in (integrate_batch, transport_batch):
+        batch = engine(ics, schedule, params)
+        for ic, tb in zip(ics, batch):
+            ts = engine([ic], schedule, params)[0]
+            assert ts.status == tb.status
+            np.testing.assert_array_equal(np.asarray(ts.t), np.asarray(tb.t))
+            np.testing.assert_array_equal(np.asarray(ts.x), np.asarray(tb.x))
+            np.testing.assert_array_equal(np.asarray(ts.p), np.asarray(tb.p))
 
 
 def test_integrate_rejects_mismatched_t0(params, schedule):
@@ -150,6 +157,96 @@ def test_record_times_contain_slice_times(params, schedule):
     tr = integrate(ic, schedule, params)
     t = np.asarray(tr.t)
     assert 3.5 in t and 5.0 in t and 0.0 in t
+
+
+# ---------------------------------------------------------------------------
+# exact mass-coordinate transport
+# ---------------------------------------------------------------------------
+
+
+def _closed_form_targets(ics, times, params):
+    """F_0(x0) + (delta_p / m) * integral of rho(x0, s) ds at each time, per lane.
+
+    The time integral is an 8-point Gauss-Legendre rule over each interval
+    between consecutive ``times``, summed in order.
+    """
+    x0 = np.array([ic.x0 for ic in ics])
+    t0 = ics[0].t0
+    target = np.repeat(mass_coordinate(x0, t0, params)[:, None], len(times), axis=1)
+    if ics[0].theory == "dbb":
+        return target
+    drift = (np.array([ic.p0 for ic in ics]) - p_bb(x0, t0, params)) / params.mass
+    lo, hi = np.asarray(times[:-1]), np.asarray(times[1:])
+    half = 0.5 * (hi - lo)
+    s = lo[:, None] + half[:, None] * (_GL_NODES + 1.0)
+    pieces = half * (rho(x0[:, None, None], s[None], params) * _GL_WEIGHTS).sum(axis=-1)
+    target[:, 1:] += drift[:, None] * np.cumsum(pieces, axis=1)
+    return target
+
+
+def _check_transport(ics, sched, params, tol):
+    """Every recorded sample sits on its closed-form mass coordinate; a lane
+    stops before t_final only if that coordinate leaves (0, 1) by then."""
+    trajs = transport_batch(ics, sched, params)
+    cells = [k for k in range(sched.n_base + 1) if k % sched.record_stride == 0 or k == sched.n_base]
+    times = np.array([sched.t0 + (k / sched.n_base) * (sched.t_final - sched.t0) for k in cells])
+    target = _closed_form_targets(ics, times, params)
+    for i, tr in enumerate(trajs):
+        k = tr.t.size
+        np.testing.assert_array_equal(tr.t, times[:k])
+        residual = np.abs(mass_coordinate(tr.x[1:], tr.t[1:], params) - target[i, 1:k])
+        assert residual.size == 0 or residual.max() <= tol
+        if tr.status == STATUS_COMPLETED:
+            assert k == times.size
+        else:
+            assert tr.status == STATUS_STALLED and k < times.size
+            assert not 0.0 < target[i, k] < 1.0
+    return trajs, target
+
+
+def test_transport_agrees_with_rk4(params, schedule):
+    """On lanes both engines complete, RK4 tracks the exact transport to its
+    own truncation error; RK4 completes no lane that transport stops."""
+    for theory, x_tol, p_tol in (("dbb", 1e-7, 1e-7), ("revised", 1e-3, 1e-3)):
+        ics = make_initial_conditions(512, SeededStream(1, 0), params, 0.0, theory)
+        exact = transport_batch(ics, schedule, params)
+        rk4 = integrate_batch(ics, schedule, params)
+        both = [(a, b) for a, b in zip(exact, rk4) if a.status == b.status == STATUS_COMPLETED]
+        assert len(both) > 300
+        for a, b in both:
+            np.testing.assert_array_equal(a.t, b.t)
+            assert np.max(np.abs(a.x - b.x)) <= x_tol
+            assert np.max(np.abs(a.p - b.p)) <= p_tol * params.sigma_p
+        assert not any(a.status != STATUS_COMPLETED and b.status == STATUS_COMPLETED for a, b in zip(exact, rk4))
+
+
+def test_transport_escape_stops_at_last_record(params, schedule):
+    """The runaway anchor RK4 stalls at its speed cap escapes in closed form:
+    transport keeps every record whose mass coordinate is still in (0, 1)."""
+    ic = InitialCondition(x0=55.0, p0=8.0, t0=0.0, theory="revised")
+    (tr,), target = _check_transport([ic], schedule, params, 1e-13)
+    assert tr.status == STATUS_STALLED
+    assert np.all((target[0, : tr.t.size] > 0.0) & (target[0, : tr.t.size] < 1.0))
+    # the domain bound and speed cap of the schedule do not enter
+    (small,) = transport_batch([ic], _schedule(params, x_bound=70.0), params)
+    np.testing.assert_array_equal(small.x, tr.x)
+    assert small.status == STATUS_STALLED
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ratio=st.floats(0.0, 500.0),
+    mass=st.floats(0.05, 20.0),
+    span=st.floats(0.05, 10.0),
+    theory=st.sampled_from(["dbb", "revised"]),
+)
+def test_transport_keeps_mass_coordinate_law(ratio, mass, span, theory):
+    """Across X/sigma, mass and time span, every recorded sample keeps
+    F_t(x) = F_0(x0) + (delta_p / m) * integral of rho to 1e-12."""
+    params = DoubleSlitParams(x_half=ratio * 5.0, sigma=5.0, mass=mass)
+    sched = _schedule(params, t_final=span, dt_base=span / 16, record_stride=2)
+    ics = make_initial_conditions(16, SeededStream(3), params, 0.0, theory)
+    _check_transport(ics, sched, params, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ regression oracles.
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity
 from qtraj.wavefield import (
@@ -17,6 +17,8 @@ from qtraj.wavefield import (
     continuity_residual,
     continuity_truncation_bound,
     envelope_density,
+    inverse_mass_coordinate,
+    mass_coordinate,
     momentum_density,
     node_floor,
     norm_constant,
@@ -306,6 +308,44 @@ def test_truncation_bound_positive_and_finite(params, rng):
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# mass coordinate F_t(x) and its inverse
+# ---------------------------------------------------------------------------
+
+# (x_half, sigma, tolerance): the paper's physics, wide slits, and a packet
+# so narrow that exp(shift) * erfc(z) alone would give inf * 0.  The
+# tolerance is the trapezoid rule's own error on the 400001-point grid.
+_MASS_COORDINATE_CASES = [(50.0, 10.0, 2e-9), (500.0, 5.0, 5e-8), (50.0, 0.1, 2e-7)]
+
+
+@pytest.mark.parametrize("x_half, sigma, tol", _MASS_COORDINATE_CASES)
+@pytest.mark.parametrize("t", [0.0, 0.3, 5.0])
+def test_mass_coordinate_matches_quadrature(x_half, sigma, tol, t):
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    half = x_half + 14.0 * float(sigma_t(params, t))
+    grid = np.linspace(-half, half, 400_001)
+    cumulative = cumulative_trapezoid(rho(grid, t, params), grid, initial=0.0)
+    closed = mass_coordinate(grid, t, params)
+    assert np.all(np.isfinite(closed))
+    assert np.all(np.diff(closed) >= 0.0)
+    assert np.max(np.abs(closed - cumulative)) < tol
+    assert closed[0] < 1e-40 and closed[-1] == 1.0
+    np.testing.assert_array_equal(mass_coordinate(np.array([-1e9, 1e9]), t, params), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("x_half, sigma, tol", _MASS_COORDINATE_CASES)
+def test_inverse_mass_coordinate_round_trip(x_half, sigma, tol, rng):
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 4000), [1e-30, 1e-12, 0.5, 1.0 - 1e-12]])
+    for t in (0.0, 0.125, 5.0):
+        x, ok = inverse_mass_coordinate(u, t, params)
+        assert np.all(ok)
+        assert np.max(np.abs(mass_coordinate(x, t, params) - u)) <= 1e-12
+        assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+    _, ok = inverse_mass_coordinate(np.array([0.0, 1.0, -0.5, 1.5, np.nan]), 1.0, params)
+    assert not np.any(ok)
 
 
 @pytest.mark.parametrize("kw", [{"x_half": -1.0}, {"sigma": 0.0}, {"mass": 0.0}, {"mass": -1.0}])
