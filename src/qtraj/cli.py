@@ -32,6 +32,7 @@ from .ensemble import (
     EnsembleResult,
     Histogram,
     KSResult,
+    TabulatedCDF,
     TimeSlice,
     build_histogram,
     central_dip_metric,
@@ -206,9 +207,8 @@ def write_trajectories(result: EnsembleResult, path: str | Path) -> Path:
     path = Path(path)
     try:
         with path.open("w", encoding="ascii", newline="\n") as handle:
-            for row in result.rows():
-                handle.write(row)
-                handle.write("\n")
+            for block in result.csv_blocks():
+                handle.write(block)
     except OSError as exc:
         raise OSError(f"writing trajectories to {path}: {exc}") from exc
     return path
@@ -229,7 +229,14 @@ class SliceReport:
     side_peak: float | None
 
 
-def build_slice_report(result: EnsembleResult, t: float, observable: str) -> SliceReport:
+def build_slice_report(
+    result: EnsembleResult, t: float, observable: str, momentum_oracle: TabulatedCDF
+) -> SliceReport:
+    """Slice, histogram and KS test of one observable at time t.
+
+    ``momentum_oracle`` is the time-independent momentum CDF
+    (``momentum_cdf(params)``), tabulated once by the caller for all slices.
+    """
     params = result.params
     config = result.config
     values = slice_values(result, t, observable)
@@ -241,7 +248,7 @@ def build_slice_report(result: EnsembleResult, t: float, observable: str) -> Sli
         dip = peak = None
     else:
         spec = config.momentum_hist
-        oracle_cdf = momentum_cdf(params)
+        oracle_cdf = momentum_oracle
         hist = build_histogram(values.values, spec)
         oracle = np.asarray(momentum_density(hist.centers, params), dtype=float)
         try:
@@ -358,8 +365,9 @@ def _run_one(
     result = run_ensemble(config, setup.params, workers=workers)
     setup.out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = write_trajectories(result, setup.out_dir / f"trajectories{suffix}.csv")
+    momentum_oracle = momentum_cdf(setup.params)
     reports = [
-        build_slice_report(result, t, obs)
+        build_slice_report(result, t, obs, momentum_oracle)
         for t in config.slice_times
         for obs in ("position", "momentum")
     ]

@@ -30,6 +30,7 @@ so one trajectory alone reproduces its in-batch result bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,46 @@ class Trajectory:
             raise ValueError("t, x, p must have equal lengths")
 
 
+@dataclass(frozen=True, eq=False)
+class TrajectoryColumns(Sequence):
+    """Same-theory trajectories recorded on one shared grid, stored by column.
+
+    Lane i holds ``n_records[i]`` samples: ``x[i, :n_records[i]]`` and
+    ``p[i, :n_records[i]]`` at times ``t[:n_records[i]]``; later entries of
+    its row are unused.  Indexing or iterating yields :class:`Trajectory`
+    views over these arrays.
+    """
+
+    ics: list[InitialCondition]
+    t: np.ndarray  # (R,) record grid
+    x: np.ndarray  # (n, R)
+    p: np.ndarray  # (n, R)
+    n_records: np.ndarray  # (n,)
+    status: np.ndarray  # (n,) status strings
+
+    def __len__(self) -> int:
+        return len(self.ics)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        k = self.n_records[i]
+        return Trajectory(ic=self.ics[i], t=self.t[:k], x=self.x[i, :k], p=self.p[i, :k], status=str(self.status[i]))
+
+    @classmethod
+    def concat(cls, parts: list["TrajectoryColumns"]) -> "TrajectoryColumns":
+        """The lanes of ``parts`` in order; every part must share one record grid."""
+        if len(parts) == 1:
+            return parts[0]
+        t = parts[0].t
+        if any(not np.array_equal(part.t, t) for part in parts):
+            raise ValueError("trajectory blocks recorded on different grids")
+
+        def joined(name):
+            return np.concatenate([getattr(part, name) for part in parts])
+
+        ics = [ic for part in parts for ic in part.ics]
+        return cls(ics, t, joined("x"), joined("p"), joined("n_records"), joined("status"))
+
+
 def _batch_theory(ics: list[InitialCondition], schedule: IntegrationSchedule) -> str:
     """The one theory of a non-empty batch whose anchors all sit at the schedule's t0."""
     theory = ics[0].theory
@@ -147,24 +188,11 @@ def _batch_theory(ics: list[InitialCondition], schedule: IntegrationSchedule) ->
     return theory
 
 
-def _trajectories(ics, rec_t, rec_x, rec_p, rec_n, status) -> list[Trajectory]:
-    return [
-        Trajectory(
-            ic=ics[i],
-            t=rec_t[i, : rec_n[i]].copy(),
-            x=rec_x[i, : rec_n[i]].copy(),
-            p=rec_p[i, : rec_n[i]].copy(),
-            status=str(status[i]),
-        )
-        for i in range(len(ics))
-    ]
-
-
 def transport_batch(
     ics: list[InitialCondition],
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
-) -> list[Trajectory]:
+) -> TrajectoryColumns:
     """Trajectories of a same-theory batch by exact mass-coordinate transport.
 
     Records fall on the grid :func:`integrate_batch` uses (every
@@ -177,29 +205,31 @@ def transport_batch(
     record in range, marked ``node_stalled``; so does a lane whose inverse
     does not converge or whose x sits below the node floor, where no
     momentum is defined.  Momenta are the guidance field at the exact x.
+    Every lane's records are a prefix of the one grid, so the batch comes
+    back as columns.
     """
-    if not ics:
-        return []
-    theory = _batch_theory(ics, schedule)
     n = len(ics)
     n_base = schedule.n_base
     span = schedule.t_final - schedule.t0
     cells = [k for k in range(n_base + 1) if k % schedule.record_stride == 0 or k == n_base]
     times = [schedule.t0 + (k / n_base) * span for k in cells]
-
+    rec_x = np.full((n, len(times)), np.nan)
+    rec_p = np.full((n, len(times)), np.nan)
+    rec_n = np.ones(n, dtype=np.int64)
+    status = np.full(n, STATUS_COMPLETED, dtype=object)
     x0 = np.array([ic.x0 for ic in ics], dtype=float)
-    field = GuidanceField(theory, params, x0, [ic.p0 for ic in ics], schedule.t0)
+    p0 = np.array([ic.p0 for ic in ics], dtype=float)
+    columns = TrajectoryColumns(list(ics), np.array(times), rec_x, rec_p, rec_n, status)
+    if not ics:
+        return columns
+    theory = _batch_theory(ics, schedule)
+
+    field = GuidanceField(theory, params, x0, p0, schedule.t0)
     p_start, valid0 = field(x0, schedule.t0, np.arange(n))
     if not np.all(valid0):
         raise NodeSingularity("guidance field undefined at an initial condition")
-
-    rec_t = np.tile(times, (n, 1))
-    rec_x = np.empty((n, len(times)), dtype=float)
-    rec_p = np.empty((n, len(times)), dtype=float)
     rec_x[:, 0] = x0
     rec_p[:, 0] = p_start
-    rec_n = np.ones(n, dtype=np.int64)
-    status = np.full(n, STATUS_COMPLETED, dtype=object)
 
     u_start = mass_coordinate(x0, schedule.t0, params)
     drift = None if field.delta_p is None else field.delta_p / params.mass
@@ -230,7 +260,7 @@ def transport_batch(
         rec_x[kept, r] = x[keep]
         rec_p[kept, r] = p[keep]
         rec_n[kept] = r + 1
-    return _trajectories(ics, rec_t, rec_x, rec_p, rec_n, status)
+    return columns
 
 
 def integrate_batch(
@@ -360,7 +390,10 @@ def integrate_batch(
     else:
         finish(np.flatnonzero(active), STATUS_STALLED)
 
-    return _trajectories(ics, rec_t, rec_x, rec_p, rec_n, status)
+    return [
+        Trajectory(ic=ics[i], t=rec_t[i, : rec_n[i]], x=rec_x[i, : rec_n[i]], p=rec_p[i, : rec_n[i]], status=str(status[i]))
+        for i in range(n)
+    ]
 
 
 def integrate(ic: InitialCondition, schedule: IntegrationSchedule, params: DoubleSlitParams) -> Trajectory:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .dynamics import IntegrationSchedule, Trajectory, default_schedule
+from .dynamics import IntegrationSchedule, TrajectoryColumns, default_schedule
 
 # The batch engine keeps the module-level name ``integrate_batch``: the
 # benchmark (bench/child.py) wraps that name to time the dynamics layer.
@@ -35,6 +35,9 @@ from .wavefield import DoubleSlitParams, GuidanceField, momentum_density, rho
 #: Trajectories per transport batch.  Fixed, so batch composition -- and
 #: therefore every computed value -- is independent of the worker count.
 _BATCH_SIZE = 2048
+
+#: Trajectories per serialized CSV block; bounds the memory of writing and hashing.
+_CSV_BLOCK = 128
 
 #: Two-sided KS critical coefficients c(alpha), statistic threshold c/sqrt(n).
 _KS_COEFFICIENTS = {0.01: 1.63, 0.05: 1.36}
@@ -130,29 +133,41 @@ class EnsembleResult:
 
     config: EnsembleConfig
     params: DoubleSlitParams
-    trajectories: list[Trajectory] = field(repr=False)
+    trajectories: TrajectoryColumns = field(repr=False)
 
     @property
     def status_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for traj in self.trajectories:
-            counts[traj.status] = counts.get(traj.status, 0) + 1
-        return counts
+        names, counts = np.unique(self.trajectories.status, return_counts=True)
+        return {str(name): int(count) for name, count in zip(names, counts)}
 
-    def rows(self) -> Iterator[str]:
-        """Serialized samples, one CSV row per (trajectory, sample), exact round-trip."""
-        yield "traj_id,t,x,p,status"
-        for i, traj in enumerate(self.trajectories):
-            status = traj.status
-            for t, x, p in zip(traj.t, traj.x, traj.p):
-                yield f"{i},{t:.17g},{x:.17g},{p:.17g},{status}"
+    def csv_blocks(self) -> Iterator[str]:
+        """The samples as CSV text, one row per (trajectory, sample), in blocks.
+
+        The header comes first, then the rows of ``_CSV_BLOCK`` trajectories
+        per block.  Values use 17 significant digits, so they round-trip
+        exactly; the shared time column is formatted once.
+        """
+        cols = self.trajectories
+        yield "traj_id,t,x,p,status\n"
+        times = np.array(["%.17g" % t for t in cols.t.tolist()], dtype=object)
+        for start in range(0, len(cols), _CSV_BLOCK):
+            lanes = slice(start, start + _CSV_BLOCK)
+            n_rec = cols.n_records[lanes]
+            recorded = np.arange(times.size) < n_rec[:, None]
+            n_rows = int(n_rec.sum())
+            fields: list = [None] * (5 * n_rows)
+            fields[0::5] = np.repeat(np.arange(start, start + n_rec.size), n_rec).tolist()
+            fields[1::5] = np.broadcast_to(times, recorded.shape)[recorded].tolist()
+            fields[2::5] = cols.x[lanes][recorded].tolist()
+            fields[3::5] = cols.p[lanes][recorded].tolist()
+            fields[4::5] = np.repeat(cols.status[lanes], n_rec).tolist()
+            yield ("%d,%s,%.17g,%.17g,%s\n" * n_rows) % tuple(fields)
 
     def data_digest(self) -> str:
         """SHA-256 over the serialized samples; equal digests = equal ensembles."""
         digest = hashlib.sha256()
-        for row in self.rows():
-            digest.update(row.encode("ascii"))
-            digest.update(b"\n")
+        for block in self.csv_blocks():
+            digest.update(block.encode("ascii"))
         return digest.hexdigest()
 
 
@@ -177,8 +192,7 @@ def run_ensemble(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batch_results = list(pool.map(lambda b: integrate_batch(b, sched, params), batches))
-    trajectories = [traj for batch in batch_results for traj in batch]
-    return EnsembleResult(config=config, params=params, trajectories=trajectories)
+    return EnsembleResult(config=config, params=params, trajectories=TrajectoryColumns.concat(batch_results))
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,8 @@ def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice
     interpolated point rather than interpolated, and come straight from the
     stored samples when t hits the recording grid.  Trajectories whose
     record ends before t (stalled or exited) are excluded and counted.
+    Every lane records a prefix of one grid, so each step runs over all
+    lanes at once.
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
@@ -208,52 +224,44 @@ def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice
     if not (sched.t0 - tol <= t <= sched.t_final + tol):
         raise SliceOutOfRange(f"slice time {t!r} outside [{sched.t0!r}, {sched.t_final!r}]")
 
-    values: list[float] = []
-    pending_x: list[float] = []  # interpolated positions awaiting field evaluation
-    pending_traj: list[int] = []
-    n_excluded = 0
-    want_momentum = observable == "momentum"
+    cols = result.trajectories
+    times, n_rec = cols.t, cols.n_records
+    lanes = np.flatnonzero(~(t > times[n_rec - 1] + tol))
+    n_rec = n_rec[lanes]
+    # a lane's own searchsorted over its records: the grid's, capped at its length
+    pos = np.minimum(np.searchsorted(times, t), n_rec)
+    above = (pos < n_rec) & (np.abs(times[np.minimum(pos, n_rec - 1)] - t) <= tol)
+    below = (pos > 0) & (np.abs(times[np.maximum(pos - 1, 0)] - t) <= tol)
+    exact = np.where(above, pos, pos - 1)
+    on_grid = above | below
 
-    for idx, traj in enumerate(result.trajectories):
-        tt = traj.t
-        if t > tt[-1] + tol:
-            n_excluded += 1
-            continue
-        pos = int(np.searchsorted(tt, t))
-        if pos < tt.size and abs(tt[pos] - t) <= tol:
-            exact = pos
-        elif pos > 0 and abs(tt[pos - 1] - t) <= tol:
-            exact = pos - 1
-        else:
-            exact = -1
-        if exact >= 0:
-            values.append(float(traj.p[exact] if want_momentum else traj.x[exact]))
-            continue
-        lo = pos - 1
-        w = (t - tt[lo]) / (tt[lo + 1] - tt[lo])
-        x_t = float(traj.x[lo] + w * (traj.x[lo + 1] - traj.x[lo]))
-        if want_momentum:
-            pending_x.append(x_t)
-            pending_traj.append(idx)
-        else:
-            values.append(x_t)
+    column = cols.p if observable == "momentum" else cols.x
+    grid_values = column[lanes[on_grid], exact[on_grid]]
+    between = lanes[~on_grid]
+    lo = pos[~on_grid] - 1
+    w = (t - times[lo]) / (times[lo + 1] - times[lo])
+    x_lo = cols.x[between, lo]
+    x_t = x_lo + w * (cols.x[between, lo + 1] - x_lo)
+    n_excluded = len(cols) - lanes.size
 
-    if pending_x:
-        ics = [result.trajectories[i].ic for i in pending_traj]
-        x0, p0 = [ic.x0 for ic in ics], [ic.p0 for ic in ics]
-        field = GuidanceField(result.config.theory, result.params, x0, p0, sched.t0)
-        p, valid = field(np.array(pending_x, dtype=float), t)
+    if observable == "position":
+        values = np.empty(lanes.size)
+        values[on_grid], values[~on_grid] = grid_values, x_t
+    elif between.size:
+        p0 = [cols.ics[i].p0 for i in between]
+        field = GuidanceField(result.config.theory, result.params, cols.x[between, 0], p0, sched.t0)
+        p, valid = field(x_t, t)
         # An interpolated point may sit below the node floor even though the
         # recorded samples do not; such values are excluded, not invented.
-        values.extend(np.asarray(p, dtype=float)[valid].tolist())
+        values = np.concatenate([grid_values, np.asarray(p, dtype=float)[valid]])
         n_excluded += int(valid.size - np.count_nonzero(valid))
-
-    out = np.array(values, dtype=float)
+    else:
+        values = grid_values
     return TimeSlice(
         time=t,
         observable=observable,
-        values=out,
-        n_contributing=out.size,
+        values=values,
+        n_contributing=values.size,
         n_excluded=n_excluded,
     )
 

@@ -1,12 +1,13 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtraj import DoubleSlitParams, EnsembleResult, Trajectory, default_config, p_bb, rho, run_ensemble
+from qtraj import DoubleSlitParams, EnsembleResult, default_config, momentum_cdf, p_bb, rho, run_ensemble
 from qtraj.cli import CONFIG_DEFAULTS, ConfigError, build_slice_report, main, parse_config, write_histograms
 from qtraj.wavefield import mass_coordinate
 
@@ -121,7 +122,10 @@ def test_trajectories_csv_roundtrip(run_dir, params):
     out, cfg = run_dir
     setup = parse_config(cfg)
     result = run_ensemble(setup.config, setup.params, workers=2)
-    expected = "\n".join(result.rows()) + "\n"
+    rows = ["traj_id,t,x,p,status"]
+    for i, traj in enumerate(result.trajectories):
+        rows += [f"{i},{t:.17g},{x:.17g},{p:.17g},{traj.status}" for t, x, p in zip(traj.t, traj.x, traj.p)]
+    expected = "\n".join(rows) + "\n"
     assert (out / "trajectories.csv").read_text(encoding="ascii") == expected
     # spot-check exact float round-trip through the 17-digit format
     line = expected.splitlines()[1].split(",")
@@ -245,12 +249,10 @@ def test_empty_slice_report_is_nan_and_failed(tmp_path):
     """A slice no trajectory reaches reports a nan KS statistic and a failed test."""
     params = DoubleSlitParams(50.0, 10.0)
     res = run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2), params)
-    cut = [
-        Trajectory(ic=tr.ic, t=tr.t[:20], x=tr.x[:20], p=tr.p[:20], status="node_stalled")
-        for tr in res.trajectories
-    ]
+    cut = replace(res.trajectories, n_records=np.full(8, 20), status=np.full(8, "node_stalled", dtype=object))
     stopped = EnsembleResult(config=res.config, params=params, trajectories=cut)
-    reports = [build_slice_report(stopped, 3.5, obs) for obs in ("position", "momentum")]
+    oracle = momentum_cdf(params)
+    reports = [build_slice_report(stopped, 3.5, obs, oracle) for obs in ("position", "momentum")]
     for report in reports:
         assert report.slice.n_contributing == 0 and report.slice.n_excluded == 8
         assert np.isnan(report.ks.statistic) and not report.ks.passed
@@ -321,3 +323,22 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_trajectories_csv_matches_row_by_row_serialization(tmp_path):
+    """Blocks of the CSV writer equal one formatted row per sample, across
+    block boundaries and stopped lanes; the digest is the file's sha256."""
+    out = tmp_path / "rev"
+    assert main(["run", "--theory", "revised", "--n", "600", "--seed", "1", "--out", str(out)]) == 0
+    setup = parse_config(None, {"theory": "revised", "n_traj": "600", "seed": "1"})
+    result = run_ensemble(setup.config, setup.params)
+    assert 0 < result.status_counts["node_stalled"] < 600
+    rows = ["traj_id,t,x,p,status"]
+    for i, traj in enumerate(result.trajectories):
+        rows += [f"{i},{t:.17g},{x:.17g},{p:.17g},{traj.status}" for t, x, p in zip(traj.t, traj.x, traj.p)]
+    written = (out / "trajectories.csv").read_bytes()
+    assert written == ("\n".join(rows) + "\n").encode("ascii")
+    digest = hashlib.sha256(written).hexdigest()
+    assert result.data_digest() == digest
+    manifest = (out / "manifest.txt").read_text(encoding="ascii")
+    assert f"# file trajectories.csv sha256 = {digest}\n" in manifest

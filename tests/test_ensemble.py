@@ -28,7 +28,7 @@ from qtraj import (
     side_band_peak,
     slice_values,
 )
-from qtraj.wavefield import mass_coordinate, p_bb, p_revised, rho
+from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_run_ensemble_worker_independent(params):
 
 def test_rows_format(small_run):
     _, res = small_run
-    rows = res.rows()
+    rows = iter("".join(res.csv_blocks()).splitlines())
     assert next(rows) == "traj_id,t,x,p,status"
     first = next(rows).split(",")
     assert first[0] == "0" and first[4] in {"completed", "node_stalled", "exited_domain"}
@@ -216,14 +216,19 @@ def test_revised_stall_fraction_regression(params, schedule):
     assert dict(counts) == {"completed": 335, "node_stalled": 177}
 
 
-def test_revised_transport_stops_exactly_the_escapes(params):
+@pytest.fixture(scope="module")
+def revised_512(params):
+    cfg = default_config(params, theory="revised", n_traj=512, master_seed=1)
+    return run_ensemble(cfg, params, workers=4)
+
+
+def test_revised_transport_stops_exactly_the_escapes(params, revised_512):
     """Ensembles stop a revised trajectory exactly when its closed-form mass
     coordinate F_0(x0) + (delta_p / m) * integral of rho(x0, s) ds leaves
     (0, 1) by t_final, with the time integral taken by 8-point Gauss-Legendre
     over each 0.125 ps record interval.  At seed 1 that is 105 of 512.  The
     same configuration at n=40000 stops 9365."""
-    cfg = default_config(params, theory="revised", n_traj=512, master_seed=1)
-    res = run_ensemble(cfg, params, workers=4)
+    res = revised_512
     assert dict(res.status_counts) == {"completed": 407, "node_stalled": 105}
 
     x0 = np.array([tr.ic.x0 for tr in res.trajectories])
@@ -236,6 +241,63 @@ def test_revised_transport_stops_exactly_the_escapes(params):
     escapes = (final <= 0.0) | (final >= 1.0)
     assert np.count_nonzero(escapes) == 105
     np.testing.assert_array_equal(escapes, [tr.status == "node_stalled" for tr in res.trajectories])
+
+
+def _reference_slice(result, t, observable):
+    """Per-trajectory slicer: each lane's own searchsorted over its records."""
+    sched = result.config.schedule
+    tol = 1e-9 * max(1.0, abs(t))
+    values, pending_x, pending_traj = [], [], []
+    n_excluded = 0
+    want_momentum = observable == "momentum"
+    for idx, traj in enumerate(result.trajectories):
+        tt = traj.t
+        if t > tt[-1] + tol:
+            n_excluded += 1
+            continue
+        pos = int(np.searchsorted(tt, t))
+        if pos < tt.size and abs(tt[pos] - t) <= tol:
+            exact = pos
+        elif pos > 0 and abs(tt[pos - 1] - t) <= tol:
+            exact = pos - 1
+        else:
+            exact = -1
+        if exact >= 0:
+            values.append(float(traj.p[exact] if want_momentum else traj.x[exact]))
+            continue
+        lo = pos - 1
+        w = (t - tt[lo]) / (tt[lo + 1] - tt[lo])
+        x_t = float(traj.x[lo] + w * (traj.x[lo + 1] - traj.x[lo]))
+        if want_momentum:
+            pending_x.append(x_t)
+            pending_traj.append(idx)
+        else:
+            values.append(x_t)
+    if pending_x:
+        ics = [result.trajectories[i].ic for i in pending_traj]
+        field = GuidanceField(result.config.theory, result.params, [ic.x0 for ic in ics], [ic.p0 for ic in ics], sched.t0)
+        p, valid = field(np.array(pending_x, dtype=float), t)
+        values.extend(np.asarray(p, dtype=float)[valid].tolist())
+        n_excluded += int(valid.size - np.count_nonzero(valid))
+    return np.array(values, dtype=float), n_excluded
+
+
+def test_slicer_matches_per_trajectory_reference(revised_512):
+    """On an ensemble with 105 escapes: at t0, on and off the record grid,
+    at and just after a stop, and at t_final, both observables."""
+    res = revised_512
+    cols = res.trajectories
+    stopped_at = np.unique(cols.t[cols.n_records[cols.n_records < cols.t.size] - 1])
+    first_stop = float(stopped_at[0])
+    times = [0.0, 1e-10, 2.5, 1.3, 4.0625, first_stop, first_stop + 1e-10, first_stop + 1e-3, 4.999, 5.0]
+    for t in times:
+        for observable in ("position", "momentum"):
+            sl = slice_values(res, t, observable)
+            values, n_excluded = _reference_slice(res, t, observable)
+            np.testing.assert_array_equal(sl.values, values)
+            assert sl.n_excluded == n_excluded
+            assert sl.n_contributing == values.size
+    assert 0 < slice_values(res, first_stop + 1e-3, "position").n_excluded < 105
 
 
 def test_slice_time_out_of_range(small_run):
