@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .dynamics import default_schedule
@@ -32,26 +31,26 @@ from .ensemble import (
     EnsembleResult,
     Histogram,
     KSResult,
-    TabulatedCDF,
     TimeSlice,
     build_histogram,
     central_dip_metric,
     default_config,
     ks_test,
-    momentum_cdf,
-    position_cdf,
     run_ensemble,
     side_band_peak,
     slice_values,
 )
 from .sampling import THEORIES, InitialCondition, SeededStream, sample_momenta, sample_positions
 from .wavefield import (
+    ClosedFormCDF,
     DoubleSlitParams,
     continuity_residual,
     continuity_truncation_bound,
     envelope_density,
+    momentum_cdf,
     momentum_density,
     node_floor,
+    position_cdf,
     rho,
     schrodinger_residual,
     sigma_t,
@@ -230,12 +229,12 @@ class SliceReport:
 
 
 def build_slice_report(
-    result: EnsembleResult, t: float, observable: str, momentum_oracle: TabulatedCDF
+    result: EnsembleResult, t: float, observable: str, momentum_oracle: ClosedFormCDF
 ) -> SliceReport:
     """Slice, histogram and KS test of one observable at time t.
 
-    ``momentum_oracle`` is the time-independent momentum CDF
-    (``momentum_cdf(params)``), tabulated once by the caller for all slices.
+    ``momentum_oracle`` is the time-independent closed-form momentum CDF
+    (``momentum_cdf(params)``), built once by the caller for all slices.
     """
     params = result.params
     config = result.config
@@ -462,17 +461,19 @@ def _interior_points(
 
 def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1) -> list[tuple[str, bool, str]]:
     """Analytic self-checks behind `qtraj verify`; returns (name, passed, detail)."""
+    from scipy.integrate import quad  # here, not at module level: it costs every run's start-up
+
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(seed)
 
     worst = 0.0
     for t in (0.0, 1.0, 3.5, t_final):
-        hw = params.position_half_width(t)
+        hw = params.x_half + 12.0 * float(sigma_t(params, t))  # misses < 1e-32 of the mass
         total, _ = quad(lambda x: float(rho(x, t, params)), -hw, hw, limit=300)
         worst = max(worst, abs(total - 1.0))
     checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{0, 1, 3.5, {t_final:g}}}"))
 
-    p_hw = params.momentum_half_width
+    p_hw = 10.0 * params.sigma_p
     total, _ = quad(lambda p: float(momentum_density(p, params)), -p_hw, p_hw, limit=300)
     err = abs(total - 1.0)
     checks.append(("momentum_norm", err < 1e-6, f"|integral - 1| = {err:.3e}"))

@@ -40,8 +40,8 @@ from .wavefield import (
     DoubleSlitParams,
     GuidanceField,
     NodeSingularity,
-    inverse_mass_coordinate,
     mass_coordinate,
+    position_cdf,
     rho,
 )
 
@@ -249,10 +249,10 @@ def transport_batch(
                 piece += weight * rho(anchors, t_lo + half * (node + 1.0), params)
             swept[lanes] += half * piece
             u = u + drift[lanes] * swept[lanes]
-        x, ok = inverse_mass_coordinate(u, t_hi, params)
+        x = position_cdf(params, t_hi).quantile(u)
         with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
             p, valid = field(x, t_hi, lanes)
-        keep = ok & valid
+        keep = np.isfinite(x) & valid
         stop = lanes[~keep]
         status[stop] = STATUS_STALLED
         active[stop] = False

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import IntegrationSchedule, TrajectoryColumns, default_schedule
 
@@ -30,7 +29,7 @@ from .dynamics import IntegrationSchedule, TrajectoryColumns, default_schedule
 # benchmark (bench/child.py) wraps that name to time the dynamics layer.
 from .dynamics import transport_batch as integrate_batch
 from .sampling import THEORIES, SeededStream, make_initial_conditions
-from .wavefield import DoubleSlitParams, GuidanceField, momentum_density, rho
+from .wavefield import DoubleSlitParams, GuidanceField
 
 #: Trajectories per transport batch.  Fixed, so batch composition -- and
 #: therefore every computed value -- is independent of the worker count.
@@ -43,9 +42,6 @@ _CSV_BLOCK = 128
 _KS_COEFFICIENTS = {0.01: 1.63, 0.05: 1.36}
 
 _OBSERVABLES = ("position", "momentum")
-
-#: Grid points of the tabulated position and momentum CDFs.
-_CDF_POINTS = 65537
 
 
 class SliceOutOfRange(Exception):
@@ -368,46 +364,3 @@ def side_band_peak(histogram: Histogram, params: DoubleSlitParams) -> float:
     """Largest density in the side bands sigma_p/2 < |p| < 3 sigma_p/2."""
     _, outer = _band_masks(histogram, params.sigma_p)
     return float(histogram.density[outer].max())
-
-
-@dataclass(frozen=True)
-class TabulatedCDF:
-    """CDF tabulated on a fine grid; callable, with quantile inversion."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(np.diff(values) < 0.0):
-            raise ValueError("cdf values must be non-decreasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, x) -> np.ndarray:
-        return np.interp(x, self.grid, self.values, left=0.0, right=1.0)
-
-    def quantile(self, q) -> np.ndarray:
-        return np.interp(q, self.values, self.grid)
-
-
-def _tabulate_cdf(pdf: Callable[[np.ndarray], np.ndarray], half_width: float) -> TabulatedCDF:
-    grid = np.linspace(-half_width, half_width, _CDF_POINTS)
-    cdf = cumulative_trapezoid(pdf(grid), grid, initial=0.0)
-    cdf /= cdf[-1]
-    return TabulatedCDF(grid=grid, values=cdf)
-
-
-def position_cdf(params: DoubleSlitParams, t: float) -> TabulatedCDF:
-    """Quadrature CDF of the position density at time t on a fine grid."""
-    return _tabulate_cdf(lambda x: rho(x, t, params), params.position_half_width(t))
-
-
-def momentum_cdf(params: DoubleSlitParams) -> TabulatedCDF:
-    """Quadrature CDF of the closed-form momentum density (time independent)."""
-    return _tabulate_cdf(lambda p: momentum_density(p, params), params.momentum_half_width)

@@ -2,7 +2,7 @@
 
 Two freely dispersing Gaussian packets, centered at ``-x_half`` ("left")
 and ``+x_half`` ("right"), are superposed and normalized once.  Everything
-derived from them -- position density, momentum density, the Bohm
+derived from them -- position and momentum densities and CDFs, the Bohm
 phase-gradient momentum field, and the density-anchored revision of that
 field -- is evaluated analytically; spatial derivatives use the closed
 form, never finite differences.
@@ -17,6 +17,8 @@ All operations accept scalars or numpy arrays (broadcast) for ``x``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, wofz
@@ -36,11 +38,11 @@ NODE_FLOOR_RELATIVE = 1e-12
 
 _QUARTIC_ROOT_2PI = (2.0 * np.pi) ** 0.25
 
-#: Nodes of the table that seeds the inverse mass coordinate, spread over
-#: +-(x_half + 12 sigma_t); every seed is refined and checked by Newton steps.
+#: Nodes of the table that seeds a quantile, spread over +-(offset + 12 width):
+#: 12 sigma_t beyond the slits for positions, 12 sigma_p for momenta.
 _QUANTILE_TABLE_POINTS = 2049
 _QUANTILE_TABLE_HALF_WIDTHS = 12.0
-#: An inverse is accepted once |F_t(x) - u| is at most this, or once its
+#: A quantile is accepted once |F(x) - u| is at most this, or once its
 #: bracket has shrunk to adjacent doubles (where F's slope times one ulp of
 #: x exceeds it).
 _QUANTILE_TOL = 1e-14
@@ -79,11 +81,6 @@ class DoubleSlitParams:
     def dispersion_time(self) -> float:
         """Characteristic spreading time 2 m sigma^2 / hbar."""
         return 2.0 * self.mass * self.sigma ** 2 / HBAR_NM2_ME_PS
-
-    @property
-    def momentum_half_width(self) -> float:
-        """Half-width 10 sigma_p of a momentum range that holds the density."""
-        return 10.0 * self.sigma_p
 
     def position_half_width(self, t: float) -> float:
         """Half-width of a position range that holds the density up to time t."""
@@ -212,73 +209,94 @@ def mass_coordinate(x, t, params: DoubleSlitParams):
     return _scalar_like(value, x, t)
 
 
-def inverse_mass_coordinate(u, t: float, params: DoubleSlitParams) -> tuple[np.ndarray, np.ndarray]:
-    """Positions x with F_t(x) = u, and a mask of the entries that converged.
+@dataclass(frozen=True)
+class ClosedFormCDF:
+    """A closed-form CDF with its density; callable, with checked quantiles.
 
-    A table of F and rho (= dF/dx) on ``_QUANTILE_TABLE_POINTS`` nodes over
-    +-(x_half + 12 sigma_t) brackets each u and seeds it by monotone cubic
-    Hermite interpolation of x(F).  Newton steps x -= (F - u) / rho then
-    refine it inside the bracket, bisecting whenever a step would leave it,
-    until an evaluation confirms |F_t(x) - u| <= ``_QUANTILE_TOL`` or the
-    bracket spans adjacent doubles.  Entries that never get there, and any u
-    outside (0, 1), are marked False; their x is not a solution.  Each
-    entry's arithmetic depends only on (u, t), not on the other entries.
+    The density has Gaussian tails of standard deviation ``width`` beyond
+    +-``offset``.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    t = float(t)
-    width = float(sigma_t(params, t))
-    half = params.x_half + _QUANTILE_TABLE_HALF_WIDTHS * width
-    grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
-    table = np.maximum.accumulate(mass_coordinate(grid, t, params))
-    slope = rho(grid, t, params)
 
-    # Bracket [lo, hi]; beyond the table, out to 40 sigma_t where F underflows.
-    i = np.clip(np.searchsorted(table, u, side="right"), 0, grid.size)
-    far = params.x_half + 40.0 * width
-    lo = np.where(i > 0, grid[np.maximum(i - 1, 0)], -far)
-    hi = np.where(i < grid.size, grid[np.minimum(i, grid.size - 1)], far)
-    inside = (i > 0) & (i < grid.size)
-    j = np.clip(i - 1, 0, grid.size - 2)
-    f_lo, f_hi = table[j], table[j + 1]
-    step = grid[1] - grid[0]
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        s = np.clip((u - f_lo) / (f_hi - f_lo), 0.0, 1.0)
-        # Tangents dx/ds = (F_hi - F_lo) / rho, capped at 3 steps so the
-        # interpolant stays monotone and inside its bracket.
-        m_lo = np.minimum((f_hi - f_lo) / slope[j], 3.0 * step)
-        m_hi = np.minimum((f_hi - f_lo) / slope[j + 1], 3.0 * step)
-        s2, s3 = s * s, s * s * s
-        seed = (
-            (2.0 * s3 - 3.0 * s2 + 1.0) * grid[j]
-            + (s3 - 2.0 * s2 + s) * m_lo
-            + (-2.0 * s3 + 3.0 * s2) * grid[j + 1]
-            + (s3 - s2) * m_hi
-        )
-    seed = np.where(inside & np.isfinite(seed), np.clip(seed, lo, hi), 0.5 * (lo + hi))
+    cdf: Callable[[np.ndarray], np.ndarray]
+    pdf: Callable[[np.ndarray], np.ndarray]
+    offset: float
+    width: float
 
-    x = seed
-    done = np.zeros(u.shape, dtype=bool)
-    active = (u > 0.0) & (u < 1.0)
-    for _ in range(_QUANTILE_MAX_ITER):
-        lanes = np.flatnonzero(active)
-        if lanes.size == 0:
-            break
-        xa, ua, la, ha = x[lanes], u[lanes], lo[lanes], hi[lanes]
-        residual = mass_coordinate(xa, t, params) - ua
-        hit = np.abs(residual) <= _QUANTILE_TOL
-        below = residual < 0.0
-        la = np.where(below, xa, la)
-        ha = np.where(below, ha, xa)
-        finished = hit | (np.nextafter(la, np.inf) >= ha)
-        lo[lanes], hi[lanes] = la, ha
-        done[lanes] = finished
-        active[lanes] = ~finished
-        go = ~finished
+    def __call__(self, x) -> np.ndarray:
+        return self.cdf(x)
+
+    def quantile(self, u) -> np.ndarray:
+        """Points x with F(x) = u, shaped like u: -inf for u <= 0, +inf for
+        u >= 1, and nan for an entry whose inversion did not converge.
+
+        A table of F and its density on ``_QUANTILE_TABLE_POINTS`` nodes
+        over +-(offset + 12 width) brackets each u and seeds it by monotone
+        cubic Hermite interpolation of x(F); beyond the table the bracket
+        reaches +-(offset + 40 width), where F has underflowed to 0 or 1.
+        Newton steps x -= (F - u) / pdf then refine it inside the bracket,
+        bisecting whenever a step would leave it, until an evaluation
+        confirms |F(x) - u| <= ``_QUANTILE_TOL`` or the bracket spans
+        adjacent doubles.  Each entry's arithmetic depends only on its own
+        u, not on the other entries.
+        """
+        shape = np.shape(u)
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        half = self.offset + _QUANTILE_TABLE_HALF_WIDTHS * self.width
+        far = self.offset + 40.0 * self.width
+        grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
+        table = np.maximum.accumulate(self.cdf(grid))
+        slope = self.pdf(grid)
+
+        i = np.clip(np.searchsorted(table, u, side="right"), 0, grid.size)
+        lo = np.where(i > 0, grid[np.maximum(i - 1, 0)], -far)
+        hi = np.where(i < grid.size, grid[np.minimum(i, grid.size - 1)], far)
+        inside = (i > 0) & (i < grid.size)
+        j = np.clip(i - 1, 0, grid.size - 2)
+        f_lo, f_hi = table[j], table[j + 1]
+        step = grid[1] - grid[0]
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            newton = xa[go] - residual[go] / rho(xa[go], t, params)
-        ok = np.isfinite(newton) & (newton > la[go]) & (newton < ha[go])
-        x[lanes[go]] = np.where(ok, newton, 0.5 * (la[go] + ha[go]))
-    return x, done
+            s = np.clip((u - f_lo) / (f_hi - f_lo), 0.0, 1.0)
+            # Tangents dx/ds = (F_hi - F_lo) / pdf, capped at 3 steps so the
+            # interpolant stays monotone and inside its bracket.
+            m_lo = np.minimum((f_hi - f_lo) / slope[j], 3.0 * step)
+            m_hi = np.minimum((f_hi - f_lo) / slope[j + 1], 3.0 * step)
+            s2, s3 = s * s, s * s * s
+            seed = (
+                (2.0 * s3 - 3.0 * s2 + 1.0) * grid[j]
+                + (s3 - 2.0 * s2 + s) * m_lo
+                + (-2.0 * s3 + 3.0 * s2) * grid[j + 1]
+                + (s3 - s2) * m_hi
+            )
+        seed = np.where(inside & np.isfinite(seed), np.clip(seed, lo, hi), 0.5 * (lo + hi))
+
+        active = (u > 0.0) & (u < 1.0)
+        x = np.where(active, seed, np.nan)
+        for _ in range(_QUANTILE_MAX_ITER):
+            lanes = np.flatnonzero(active)
+            if lanes.size == 0:
+                break
+            xa, ua, la, ha = x[lanes], u[lanes], lo[lanes], hi[lanes]
+            residual = self.cdf(xa) - ua
+            hit = np.abs(residual) <= _QUANTILE_TOL
+            below = residual < 0.0
+            la = np.where(below, xa, la)
+            ha = np.where(below, ha, xa)
+            finished = hit | (np.nextafter(la, np.inf) >= ha)
+            lo[lanes], hi[lanes] = la, ha
+            active[lanes] = ~finished
+            go = ~finished
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                newton = xa[go] - residual[go] / self.pdf(xa[go])
+            ok = np.isfinite(newton) & (newton > la[go]) & (newton < ha[go])
+            x[lanes[go]] = np.where(ok, newton, 0.5 * (la[go] + ha[go]))
+        x[active] = np.nan  # never confirmed
+        return np.where(u <= 0.0, -np.inf, np.where(u >= 1.0, np.inf, x)).reshape(shape)
+
+
+def position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
+    """The mass coordinate F_t (:func:`mass_coordinate`) as a CDF."""
+    cdf, pdf = partial(mass_coordinate, t=t, params=params), partial(rho, t=t, params=params)
+    return ClosedFormCDF(cdf, pdf, params.x_half, float(sigma_t(params, t)))
 
 
 def _derivative_ratio(x, t, params: DoubleSlitParams):
@@ -389,6 +407,34 @@ def momentum_density(p, params: DoubleSlitParams):
         prefactor = np.sqrt(2.0 / np.pi) / sp / (1.0 + np.exp(-2.0 * sp ** 2 * params.x_half ** 2 / hbar ** 2))
         value = prefactor * np.exp(-(p ** 2) / (2.0 * sp ** 2)) * np.cos(params.x_half * p / hbar) ** 2
     return _scalar_like(value, p)
+
+
+def momentum_cumulative(p, params: DoubleSlitParams):
+    """Momentum CDF, the integral of the momentum density over p' < p, in closed form.
+
+    With k = x_half / hbar and s = sigma_p the density is a Gaussian of
+    width s times 2 (1 + cos 2kp) / N.  The Gaussian integrates to 2 ndtr;
+    the cosine term to Re of a shifted complex erfc, written through the
+    Faddeeva function w as in :func:`mass_coordinate`.  Only p <= 0 is
+    evaluated, where the argument of w lies in the upper half plane and
+    |w| <= 1, and F(p) = 1 - F(-p) gives the rest.
+    """
+    p = np.asarray(p, dtype=float)
+    q = -np.abs(p)
+    s = params.sigma_p
+    k = params.x_half / HBAR_NM2_ME_PS
+    z = -(q - 2.0j * k * s ** 2) / (s * np.sqrt(2.0))
+    with np.errstate(under="ignore"):
+        cross = np.exp(-(q ** 2) / (2.0 * s ** 2) + 2.0j * k * q) * wofz(1.0j * z)
+    lower = (2.0 * ndtr(q / s) + np.real(cross)) / norm_constant(params)
+    value = np.where(p > 0.0, 1.0 - lower, lower)
+    return _scalar_like(value, p)
+
+
+def momentum_cdf(params: DoubleSlitParams) -> ClosedFormCDF:
+    """The momentum CDF (:func:`momentum_cumulative`), time independent."""
+    cdf, pdf = partial(momentum_cumulative, params=params), partial(momentum_density, params=params)
+    return ClosedFormCDF(cdf, pdf, 0.0, params.sigma_p)
 
 
 def schrodinger_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float, psi_fn=None):

@@ -280,10 +280,13 @@ def test_verify_passes(capsys):
 
 
 def test_verify_time_step_scales_with_mass(tmp_path, capsys):
-    """At 0.01 electron masses tau is 100x shorter; a fixed h_t fails there."""
+    """At 0.01 electron masses tau is 100x shorter, so a fixed h_t fails there,
+    and spreading outgrows sigma, so a position range fixed in sigma misses mass."""
     cfg = _write_config(tmp_path, mass_me=0.01)
-    assert main(["verify", "--config", str(cfg)]) in (0, 1)
-    assert "PASS schrodinger_residual:" in capsys.readouterr().out
+    assert main(["verify", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS schrodinger_residual:" in out and "PASS position_norm:" in out
+    assert "FAIL" not in out
 
 
 @pytest.mark.parametrize("physics", [{"x_half_nm": 500, "sigma_nm": 5}, {"sigma_nm": 0.1}])

@@ -12,7 +12,6 @@ from qtraj import (
     HistogramSpec,
     SeededStream,
     SliceOutOfRange,
-    TabulatedCDF,
     build_histogram,
     central_dip_metric,
     default_config,
@@ -28,7 +27,7 @@ from qtraj import (
     side_band_peak,
     slice_values,
 )
-from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho
+from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho, sigma_t
 
 
 @pytest.fixture(scope="module")
@@ -461,12 +460,15 @@ def test_momentum_cdf_symmetry(params):
     np.testing.assert_allclose(cdf(-p), 1.0 - cdf(p), atol=1e-9)
 
 
+def test_position_cdf_is_mass_coordinate(params):
+    rng = np.random.default_rng(8)
+    for t in (0.0, 1.3, 5.0):
+        x = rng.normal(0.0, params.x_half + 3.0 * float(sigma_t(params, t)), 1000)
+        np.testing.assert_array_equal(position_cdf(params, t)(x), mass_coordinate(x, t, params))
+
+
 def test_quantile_inverts_cdf(params):
-    cdf = momentum_cdf(params)
     u = np.linspace(0.001, 0.999, 97)
-    np.testing.assert_allclose(cdf(cdf.quantile(u)), u, atol=1e-7)
-
-
-def test_tabulated_cdf_rejects_decreasing():
-    with pytest.raises(ValueError):
-        TabulatedCDF(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.8, 0.5]))
+    for cdf in (momentum_cdf(params), position_cdf(params, 0.0), position_cdf(params, 3.5)):
+        np.testing.assert_allclose(cdf(cdf.quantile(u)), u, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(cdf.quantile([0.0, 1.0]), [-np.inf, np.inf])

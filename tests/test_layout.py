@@ -1,15 +1,20 @@
 """Module layout: no module reaches into a sibling's private names or
-imports a name it never uses."""
+imports a name it never uses, and importing the CLI stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parents[1] / "src" / "qtraj").glob("*.py")
-    if path.name != "__init__.py"
-)
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qtraj"
+_SOURCES = sorted(path for path in _PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+#: scipy subpackages that cost a run's start-up far more than its work at the
+#: benchmark sizes; scipy.integrate alone pulls in the other two.
+_HEAVY_AT_IMPORT = ("scipy.integrate", "scipy.sparse", "scipy.optimize")
 
 
 def _is_private(name: str) -> bool:
@@ -44,3 +49,35 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [bound for bound, _, _ in _imports(tree) if bound not in used]
     assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def _module_level(node: ast.AST):
+    """Every node that runs when the module is imported (function bodies excluded)."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_level_scipy_integrate(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        ast.unparse(node)
+        for node in _module_level(tree)
+        if (isinstance(node, ast.Import) and any(a.name.startswith("scipy.integrate") for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.integrate"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "scipy" and any(a.name == "integrate" for a in node.names))
+    ]
+    assert not found, f"{path.name} imports scipy.integrate at module level: {found}"
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    """A fresh interpreter that imports qtraj.cli has loaded none of these."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = f"import sys, qtraj.cli; print(' '.join(m for m in {_HEAVY_AT_IMPORT!r} if m in sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout.split()
+    assert not loaded, f"import qtraj.cli loads {loaded}"

@@ -69,7 +69,7 @@ def test_sample_positions_within_support(params):
 
 
 def test_sample_positions_chi_squared(params):
-    """50 equal-probability bins from the quadrature CDF; df=49."""
+    """50 equal-probability bins from the closed-form CDF; df=49."""
     x = sample_positions(10**6, SeededStream(98), params)
     edges = position_cdf(params, 0.0).quantile(np.linspace(0.0, 1.0, 51))
     counts, _ = np.histogram(x, bins=edges)

@@ -17,14 +17,16 @@ from qtraj.wavefield import (
     continuity_residual,
     continuity_truncation_bound,
     envelope_density,
-    inverse_mass_coordinate,
     mass_coordinate,
+    momentum_cdf,
+    momentum_cumulative,
     momentum_density,
     node_floor,
     norm_constant,
     p_bb,
     p_revised,
     packet_amplitude,
+    position_cdf,
     psi,
     rho,
     rho_peak_bound,
@@ -340,12 +342,54 @@ def test_inverse_mass_coordinate_round_trip(x_half, sigma, tol, rng):
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
     u = np.concatenate([rng.uniform(0.0, 1.0, 4000), [1e-30, 1e-12, 0.5, 1.0 - 1e-12]])
     for t in (0.0, 0.125, 5.0):
-        x, ok = inverse_mass_coordinate(u, t, params)
-        assert np.all(ok)
+        x = position_cdf(params, t).quantile(u)
+        assert np.all(np.isfinite(x))
         assert np.max(np.abs(mass_coordinate(x, t, params) - u)) <= 1e-12
         assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
-    _, ok = inverse_mass_coordinate(np.array([0.0, 1.0, -0.5, 1.5, np.nan]), 1.0, params)
-    assert not np.any(ok)
+    x = position_cdf(params, 1.0).quantile(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
+    np.testing.assert_array_equal(x, [-np.inf, np.inf, -np.inf, np.inf, np.nan])
+
+
+# ---------------------------------------------------------------------------
+# momentum CDF and its inverse
+# ---------------------------------------------------------------------------
+
+
+def test_momentum_cumulative_matches_quadrature(params):
+    """The density is even, so F(p) = 1/2 + the integral from 0 to p."""
+    sp = params.sigma_p
+    p = np.linspace(-8.0 * sp, 8.0 * sp, 41)
+    density = lambda q: float(momentum_density(q, params))  # noqa: E731
+    quadrature = [0.5 + quad(density, 0.0, pk, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for pk in p]
+    np.testing.assert_allclose(momentum_cumulative(p, params), quadrature, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_half, sigma", [(500.0, 5.0), (50.0, 0.1)])
+def test_momentum_cumulative_properties(x_half, sigma):
+    """Finite, monotone, mirror symmetric and 0 / 1 in the limits, where
+    exp(-q^2 / 2 s^2) erfc(z) alone would give inf * 0.  The grid stops at
+    36 sigma_p: beyond it F(p) is below the smallest normal double."""
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    p = np.linspace(-36.0, 36.0, 400_001) * params.sigma_p
+    f = momentum_cumulative(p, params)
+    assert np.all(np.isfinite(f))
+    assert np.all(np.diff(f) >= 0.0)
+    np.testing.assert_allclose(momentum_cumulative(-p, params), 1.0 - f, rtol=0.0, atol=1e-15)
+    assert 0.0 < f[0] < 1e-280 and f[-1] == 1.0
+    assert np.all(np.isfinite(momentum_cumulative(np.array([-45.0, 45.0]) * params.sigma_p, params)))
+    np.testing.assert_array_equal(momentum_cumulative(np.array([-1e9, 1e9]), params), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("x_half, sigma", [(50.0, 10.0), (500.0, 5.0), (50.0, 0.1)])
+def test_momentum_cdf_quantile_round_trip(x_half, sigma, rng):
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 4000), [1e-30, 1e-12, 0.5, 1.0 - 1e-12]])
+    p = momentum_cdf(params).quantile(u)
+    assert np.all(np.isfinite(p))
+    assert np.max(np.abs(momentum_cumulative(p, params) - u)) <= 1e-12
+    assert np.all(np.diff(p[np.argsort(u)]) >= 0.0)
+    p = momentum_cdf(params).quantile(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
+    np.testing.assert_array_equal(p, [-np.inf, np.inf, -np.inf, np.inf, np.nan])
 
 
 @pytest.mark.parametrize("kw", [{"x_half": -1.0}, {"sigma": 0.0}, {"mass": 0.0}, {"mass": -1.0}])
