@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -201,16 +202,35 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     return RunSetup(params=params, config=config, out_dir=Path(raw["out_dir"]), raw=raw)
 
 
-def write_trajectories(result: EnsembleResult, path: str | Path) -> Path:
-    """Delimited text of every recorded sample with 17-significant-digit values."""
+@dataclass(frozen=True)
+class WrittenFile:
+    """A written output file and the sha256 of the bytes written; usable as its path."""
+
+    path: Path
+    sha256: str
+
+    def __fspath__(self) -> str:
+        return str(self.path)
+
+
+def _write_hashed(path: str | Path, chunks: Iterable[str], what: str) -> WrittenFile:
+    """Write the chunks as ASCII, hashing each one on its way to the file."""
     path = Path(path)
+    digest = hashlib.sha256()
     try:
-        with path.open("w", encoding="ascii", newline="\n") as handle:
-            for block in result.csv_blocks():
-                handle.write(block)
+        with path.open("wb") as handle:
+            for chunk in chunks:
+                data = chunk.encode("ascii")
+                handle.write(data)
+                digest.update(data)
     except OSError as exc:
-        raise OSError(f"writing trajectories to {path}: {exc}") from exc
-    return path
+        raise OSError(f"writing {what} to {path}: {exc}") from exc
+    return WrittenFile(path, digest.hexdigest())
+
+
+def write_trajectories(result: EnsembleResult, path: str | Path) -> WrittenFile:
+    """Delimited text of every recorded sample with 17-significant-digit values."""
+    return _write_hashed(path, result.csv_blocks(), "trajectories")
 
 
 @dataclass(frozen=True)
@@ -295,25 +315,12 @@ def _report_lines(report: SliceReport) -> list[str]:
     return lines
 
 
-def write_histograms(reports: list[SliceReport], path: str | Path) -> Path:
+def write_histograms(reports: list[SliceReport], path: str | Path) -> WrittenFile:
     """Histogram document: per slice, edges/counts/density plus oracle and stats."""
-    path = Path(path)
     lines: list[str] = []
     for report in reports:
         lines.extend(_report_lines(report))
-    try:
-        path.write_text("\n".join(lines), encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"writing histograms to {path}: {exc}") from exc
-    return path
-
-
-def _sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    return _write_hashed(path, ["\n".join(lines)], "histograms")
 
 
 @dataclass
@@ -363,14 +370,14 @@ def _run_one(
     started = _utc_stamp()
     result = run_ensemble(config, setup.params, workers=workers)
     setup.out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = write_trajectories(result, setup.out_dir / f"trajectories{suffix}.csv")
+    trajectories = write_trajectories(result, setup.out_dir / f"trajectories{suffix}.csv")
     momentum_oracle = momentum_cdf(setup.params)
     reports = [
         build_slice_report(result, t, obs, momentum_oracle)
         for t in config.slice_times
         for obs in ("position", "momentum")
     ]
-    hist_path = write_histograms(reports, setup.out_dir / f"histograms{suffix}.txt")
+    histograms = write_histograms(reports, setup.out_dir / f"histograms{suffix}.txt")
     echo = dict(setup.raw)
     echo["theory"] = theory
     manifest = RunManifest(
@@ -378,10 +385,10 @@ def _run_one(
         started_utc=started,
         finished_utc=_utc_stamp(),
         status_counts=result.status_counts,
-        files=[(p.name, _sha256_of(p)) for p in (traj_path, hist_path)],
+        files=[(written.path.name, written.sha256) for written in (trajectories, histograms)],
     )
     manifest_path = write_manifest(manifest, setup.out_dir / f"manifest{suffix}.txt")
-    return result, [traj_path, hist_path, manifest_path], reports
+    return result, [trajectories.path, histograms.path, manifest_path], reports
 
 
 def _print_status(result: EnsembleResult) -> None:

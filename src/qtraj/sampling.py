@@ -11,7 +11,10 @@ generators.  Trajectory ``i`` of an ensemble uses stream index ``i``, and
 its position is always drawn before its momentum, so ensembles with the
 same master seed agree trajectory-by-trajectory regardless of ensemble
 size, execution order, or thread count -- and the two guidance theories
-see identical initial positions.
+see identical initial positions.  Stream ``i`` of master seed ``s`` is
+``PCG64(SeedSequence(entropy=s, spawn_key=(i,)))``; the batched sampler
+derives those states itself, a block of streams at a time, and a test
+holds them equal to numpy's.
 """
 
 from __future__ import annotations
@@ -42,6 +45,17 @@ _MIN_BATCH = 64
 _CHUNK = 256
 
 THEORIES = ("dbb", "revised")
+
+# numpy's SeedSequence constants (uint32 hashmix and mix) and PCG64's
+# 128-bit LCG multiplier, for deriving many streams' states at once.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 class EnvelopeViolation(Exception):
@@ -154,56 +168,133 @@ def _first_accepted(keep: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np
     return draws[np.arange(draws.shape[0]), first], keep[np.arange(keep.shape[0]), first]
 
 
-def _sample_chunk(
-    streams: list[SeededStream], params: DoubleSlitParams, t0: float, revised: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One position (and, if ``revised``, one momentum) per stream.
+def _uint32_words(value: int) -> list[int]:
+    """A nonnegative int as little-endian 32-bit words, as numpy's SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
 
-    Each stream's generator makes exactly the calls of ``_draw_positions(1, ...)``
+
+def _hasher(hash_const: np.uint32, multiplier: np.uint32):
+    """SeedSequence's uint32 hashmix, its multiplier chain advancing one step per call."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * multiplier
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_states(master_seed: int, first: int, count: int) -> list[dict]:
+    """``SeededStream(master_seed, i).generator().bit_generator.state`` for
+    i in [first, first + count), without building a generator per stream.
+
+    numpy seeds stream i from ``SeedSequence(entropy=master_seed,
+    spawn_key=(i,))``: its run entropy padded to the pool size, then the
+    words of i, are mixed into a 4-word pool, which ``generate_state(4,
+    uint64)`` expands to PCG64's seed and increment.  Those uint32 steps
+    run here over all streams at once as (lanes,) arrays; the hash
+    multiplier chain depends only on the step, not on the data, so it is
+    shared by every lane with as many entropy words.  PCG64's two-step
+    seeding follows in Python ints.
+    """
+    run = _uint32_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    index_words = [_uint32_words(i) for i in range(first, first + count)]
+    states: list[dict] = []
+    with np.errstate(over="ignore"):
+        # Consecutive indices: each word count is one run of lanes, in order.
+        for n_words in sorted({len(words) for words in index_words}):
+            entropy = np.array([run + words for words in index_words if len(words) == n_words], dtype=np.uint32)
+            hashmix = _hasher(_INIT_A, _MULT_A)
+            pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+            for src in range(_POOL_SIZE):
+                for dst in range(_POOL_SIZE):
+                    if src != dst:
+                        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+            for src in range(_POOL_SIZE, entropy.shape[1]):
+                for dst in range(_POOL_SIZE):
+                    pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+            generate = _hasher(_INIT_B, _MULT_B)
+            words = [generate(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+            # generate_state(4, uint64) pairs words little-endian; PCG64 reads
+            # its seed and increment as (high, low) pairs of those.
+            halves = [(words[k] | (words[k + 1] << np.uint64(32))).tolist() for k in (0, 2, 4, 6)]
+            for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
+                inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+                state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG_MULT + inc) & _MASK128
+                states.append(
+                    {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+                )
+    return states
+
+
+def _sample_chunk(
+    stream: SeededStream, count: int, params: DoubleSlitParams, t0: float, revised: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One position (and, if ``revised``, one momentum) for each of the
+    ``count`` streams from ``stream`` on.
+
+    Each stream makes exactly the generator calls of ``_draw_positions(1, ...)``
     then ``_draw_momenta(1, ...)`` for their first proposal round, in the same
-    order; densities, envelope checks and acceptance then run over the whole
-    (streams, round) block at once.  A stream whose first round accepts
-    nothing (probability about 2**-round) is redrawn through those two
-    functions from a fresh generator, so every draw equals theirs bit for bit.
-    Envelope checks fail in the order the per-stream loop meets them: the
-    first stream with a violation is named, its position before its momentum,
-    after the redraws of every stream ahead of it.
+    order, from one reused generator loaded with that stream's state; numpy's
+    ``normal(loc, scale)`` is ``loc + scale * z``, so standard normals scaled
+    over the block give the same bits.  Densities, envelope checks and
+    acceptance then run over the whole (streams, round) block at once.  A
+    stream whose first round accepts nothing (probability about 2**-round)
+    is redrawn through those two functions from its own fresh generator, so
+    every draw equals theirs bit for bit.  Envelope checks fail in the order
+    the per-stream loop meets them: the first stream with a violation is
+    named, its position before its momentum, after the redraws of every
+    stream ahead of it.
     """
     size = max(2, _MIN_BATCH)  # the first round of a single draw
-    lanes = len(streams)
     width = float(sigma_t(params, t0))
-    rngs = [stream.generator() for stream in streams]
-    u = np.empty((lanes, size))
-    for row, rng in enumerate(rngs):
+    # Per stream: slit choices u, position normals z and acceptances v, then
+    # momentum normals q and acceptances w.
+    u, z, v = np.empty((count, size)), np.empty((count, size)), np.empty((count, size))
+    q, w = (np.empty((count, size)), np.empty((count, size))) if revised else (None, None)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for row, state in enumerate(_pcg64_states(stream.master_seed, stream.stream_index, count)):
+        bit_generator.state = state
         rng.random(out=u[row])
-    centers = np.where(u < 0.5, -params.x_half, params.x_half)
-    x = np.empty((lanes, size))
-    p, v = (np.empty((lanes, size)), np.empty((lanes, size))) if revised else (None, None)
-    for row, rng in enumerate(rngs):
-        x[row] = rng.normal(centers[row], width)
-        rng.random(out=u[row])  # u now holds the acceptance draws
+        rng.standard_normal(out=z[row])
+        rng.random(out=v[row])
         if revised:
-            p[row] = rng.normal(0.0, params.sigma_p, size=size)
-            rng.random(out=v[row])
+            rng.standard_normal(out=q[row])
+            rng.random(out=w[row])
+    x = np.where(u < 0.5, -params.x_half, params.x_half) + width * z
     ratio, above_floor = _position_ratio(x, params, t0, width)
     position_worst = ratio.max(axis=1)
-    positions, done = _first_accepted((u < ratio) & above_floor, x)
-    momenta, momentum_worst = np.zeros(lanes), np.zeros(lanes)
+    positions, done = _first_accepted((v < ratio) & above_floor, x)
+    momenta, momentum_worst = np.zeros(count), np.zeros(count)
     if revised:
+        p = 0.0 + params.sigma_p * q  # normal(0.0, sigma_p), to the sign of a zero
         ratio = _momentum_ratio(p, params)
         # Only a stream whose first position round accepted goes on to these proposals.
         momentum_worst = np.where(done, ratio.max(axis=1), 0.0)
-        momenta, accepted = _first_accepted(v < ratio, p)
+        momenta, accepted = _first_accepted(w < ratio, p)
         done &= accepted
     bad = np.flatnonzero((position_worst > _ENVELOPE_SLACK) | (momentum_worst > _ENVELOPE_SLACK))
-    first_bad = int(bad[0]) if bad.size else lanes
+    first_bad = int(bad[0]) if bad.size else count
     for row in np.flatnonzero(~done[:first_bad]):  # streams before the first violation run first
-        rng = streams[row].generator()
-        positions[row] = _draw_positions(1, rng, params, t0)[0]
+        fresh = stream.substream(int(row)).generator()
+        positions[row] = _draw_positions(1, fresh, params, t0)[0]
         if revised:
-            momenta[row] = _draw_momenta(1, rng, params)[0]
+            momenta[row] = _draw_momenta(1, fresh, params)[0]
     if bad.size:
-        on_stream = f" on stream {streams[first_bad].stream_index}"
+        on_stream = f" on stream {stream.stream_index + first_bad}"
         _check_envelope(position_worst[first_bad], "position", f" at t0={t0!r}{on_stream}")
         _check_envelope(momentum_worst[first_bad], "momentum", on_stream)
     return positions, momenta
@@ -244,9 +335,11 @@ def make_initial_conditions(
     positions = np.empty(n, dtype=float)
     momenta = np.empty(n, dtype=float)
     for start in range(0, n, _CHUNK):
-        streams = [stream.substream(i) for i in range(start, min(start + _CHUNK, n))]
-        block = slice(start, start + len(streams))
-        positions[block], momenta[block] = _sample_chunk(streams, params, t0, theory == "revised")
+        count = min(_CHUNK, n - start)
+        block = slice(start, start + count)
+        positions[block], momenta[block] = _sample_chunk(
+            stream.substream(start), count, params, t0, theory == "revised"
+        )
     if theory == "dbb":
         momenta = np.asarray(p_bb(positions, t0, params), dtype=float).reshape(n)
     return [

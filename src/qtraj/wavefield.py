@@ -17,7 +17,7 @@ All operations accept scalars or numpy arrays (broadcast) for ``x``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -47,6 +47,12 @@ _QUANTILE_TABLE_HALF_WIDTHS = 12.0
 #: x exceeds it).
 _QUANTILE_TOL = 1e-14
 _QUANTILE_MAX_ITER = 100
+#: Position CDFs kept by :func:`position_cdf`, each with its seed table once
+#: built (about 50 kB): one per record time of a default run up to 16 ps.
+_POSITION_CDF_CACHE = 128
+
+#: Smallest normal double; a CDF tail below it has no significant digits left.
+_TINY = float(np.finfo(float).tiny)
 
 
 class NodeSingularity(Exception):
@@ -177,6 +183,16 @@ def node_floor(params: DoubleSlitParams, t):
     return NODE_FLOOR_RELATIVE * rho_peak_bound(params, t)
 
 
+def _flush_tail(lower):
+    """A lower CDF tail with values below the smallest normal double set to 0.
+
+    There both closed-form terms are subnormal and their cancellation leaves
+    only rounding noise, which can be negative or decreasing; 0 keeps the
+    CDF in [0, 1] and non-decreasing.  nan passes through.
+    """
+    return np.where(lower < _TINY, 0.0, lower)
+
+
 def mass_coordinate(x, t, params: DoubleSlitParams):
     """Position CDF F_t(x), the integral of rho(x', t) over x' < x, in closed form.
 
@@ -187,7 +203,7 @@ def mass_coordinate(x, t, params: DoubleSlitParams):
     is mirror symmetric, so only x <= 0 is evaluated and F_t(x) =
     1 - F_t(-x) gives the rest; there the Faddeeva argument lies in the
     upper half plane, where |w| <= 1.  ``t`` must be a scalar or broadcast
-    with ``x``.
+    with ``x``.  The value always lies in [0, 1] (see :func:`_flush_tail`).
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -204,7 +220,7 @@ def mass_coordinate(x, t, params: DoubleSlitParams):
     z = -np.sqrt(alpha) * (left + x_half * beta / alpha)
     with np.errstate(under="ignore"):
         cross = np.exp(-alpha * (left ** 2 + x_half ** 2) - 2.0 * left * x_half * beta) * wofz(1.0j * z)
-    lower = (direct + np.real(cross)) / norm_constant(params)
+    lower = _flush_tail((direct + np.real(cross)) / norm_constant(params))
     value = np.where(x > 0.0, 1.0 - lower, lower)
     return _scalar_like(value, x, t)
 
@@ -225,6 +241,12 @@ class ClosedFormCDF:
     def __call__(self, x) -> np.ndarray:
         return self.cdf(x)
 
+    @cached_property
+    def _seed_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, monotone F and density of the table that seeds :meth:`quantile`."""
+        half = self.offset + _QUANTILE_TABLE_HALF_WIDTHS * self.width
+        return _quantile_table(self.cdf, self.pdf, half)
+
     def quantile(self, u) -> np.ndarray:
         """Points x with F(x) = u, shaped like u: -inf for u <= 0, +inf for
         u >= 1, and nan for an entry whose inversion did not converge.
@@ -237,15 +259,13 @@ class ClosedFormCDF:
         bisecting whenever a step would leave it, until an evaluation
         confirms |F(x) - u| <= ``_QUANTILE_TOL`` or the bracket spans
         adjacent doubles.  Each entry's arithmetic depends only on its own
-        u, not on the other entries.
+        u, not on the other entries.  The table is built on the first call
+        and kept.
         """
         shape = np.shape(u)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        half = self.offset + _QUANTILE_TABLE_HALF_WIDTHS * self.width
         far = self.offset + 40.0 * self.width
-        grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
-        table = np.maximum.accumulate(self.cdf(grid))
-        slope = self.pdf(grid)
+        grid, table, slope = self._seed_table
 
         i = np.clip(np.searchsorted(table, u, side="right"), 0, grid.size)
         lo = np.where(i > 0, grid[np.maximum(i - 1, 0)], -far)
@@ -293,8 +313,28 @@ class ClosedFormCDF:
         return np.where(u <= 0.0, -np.inf, np.where(u >= 1.0, np.inf, x)).reshape(shape)
 
 
+def _quantile_table(cdf, pdf, half: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes over [-half, half], the running maximum of F on them, and the
+    density; read-only, since one table serves every caller."""
+    grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
+    table = (grid, np.maximum.accumulate(cdf(grid)), pdf(grid))
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
 def position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
-    """The mass coordinate F_t (:func:`mass_coordinate`) as a CDF."""
+    """The mass coordinate F_t (:func:`mass_coordinate`) as a CDF.
+
+    Equal arguments return one shared object (the last
+    ``_POSITION_CDF_CACHE`` are kept), so every batch, thread and theory
+    that inverts F_t at the same time builds one quantile table.
+    """
+    return _shared_position_cdf(params, float(t))
+
+
+@lru_cache(maxsize=_POSITION_CDF_CACHE)
+def _shared_position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
     cdf, pdf = partial(mass_coordinate, t=t, params=params), partial(rho, t=t, params=params)
     return ClosedFormCDF(cdf, pdf, params.x_half, float(sigma_t(params, t)))
 
@@ -417,7 +457,8 @@ def momentum_cumulative(p, params: DoubleSlitParams):
     the cosine term to Re of a shifted complex erfc, written through the
     Faddeeva function w as in :func:`mass_coordinate`.  Only p <= 0 is
     evaluated, where the argument of w lies in the upper half plane and
-    |w| <= 1, and F(p) = 1 - F(-p) gives the rest.
+    |w| <= 1, and F(p) = 1 - F(-p) gives the rest.  The value always lies
+    in [0, 1] (see :func:`_flush_tail`).
     """
     p = np.asarray(p, dtype=float)
     q = -np.abs(p)
@@ -426,7 +467,7 @@ def momentum_cumulative(p, params: DoubleSlitParams):
     z = -(q - 2.0j * k * s ** 2) / (s * np.sqrt(2.0))
     with np.errstate(under="ignore"):
         cross = np.exp(-(q ** 2) / (2.0 * s ** 2) + 2.0j * k * q) * wofz(1.0j * z)
-    lower = (2.0 * ndtr(q / s) + np.real(cross)) / norm_constant(params)
+    lower = _flush_tail((2.0 * ndtr(q / s) + np.real(cross)) / norm_constant(params))
     value = np.where(p > 0.0, 1.0 - lower, lower)
     return _scalar_like(value, p)
 

@@ -3,12 +3,22 @@
 import hashlib
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from qtraj import DoubleSlitParams, EnsembleResult, default_config, momentum_cdf, p_bb, rho, run_ensemble
-from qtraj.cli import CONFIG_DEFAULTS, ConfigError, build_slice_report, main, parse_config, write_histograms
+from qtraj import dynamics, ensemble, wavefield
+from qtraj.cli import (
+    CONFIG_DEFAULTS,
+    ConfigError,
+    build_slice_report,
+    main,
+    parse_config,
+    write_histograms,
+    write_trajectories,
+)
 from qtraj.wavefield import mass_coordinate
 
 
@@ -256,7 +266,7 @@ def test_empty_slice_report_is_nan_and_failed(tmp_path):
     for report in reports:
         assert report.slice.n_contributing == 0 and report.slice.n_excluded == 8
         assert np.isnan(report.ks.statistic) and not report.ks.passed
-    text = write_histograms(reports, tmp_path / "h.txt").read_text(encoding="ascii")
+    text = write_histograms(reports, tmp_path / "h.txt").path.read_text(encoding="ascii")
     assert text.count("\nn_contributing = 0\n") == 2
     assert text.count("\nks_statistic = nan\n") == 2
     assert text.count("\nks_passed = false\n") == 2
@@ -345,3 +355,34 @@ def test_trajectories_csv_matches_row_by_row_serialization(tmp_path):
     assert result.data_digest() == digest
     manifest = (out / "manifest.txt").read_text(encoding="ascii")
     assert f"# file trajectories.csv sha256 = {digest}\n" in manifest
+
+
+def test_writers_return_the_sha256_of_their_bytes(tmp_path):
+    """Each data file is hashed as it is written; the digest is the file's."""
+    params = DoubleSlitParams(50.0, 10.0)
+    result = run_ensemble(default_config(params, theory="revised", n_traj=300, master_seed=4), params)
+    reports = [build_slice_report(result, 3.5, obs, momentum_cdf(params)) for obs in ("position", "momentum")]
+    for written in (write_trajectories(result, tmp_path / "t.csv"), write_histograms(reports, tmp_path / "h.txt")):
+        assert written.sha256 == hashlib.sha256(written.path.read_bytes()).hexdigest()
+        assert Path(written) == written.path  # usable wherever a path is
+    assert write_trajectories(result, tmp_path / "t2.csv").sha256 == result.data_digest()
+
+
+def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch):
+    """Two batches per theory invert F_t at the same record times; each
+    time's position CDF, with its quantile table, is built once and shared
+    by every batch and both theories."""
+    monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
+    wavefield._shared_position_cdf.cache_clear()
+    builds = mock.Mock(wraps=wavefield._quantile_table)
+    monkeypatch.setattr(wavefield, "_quantile_table", builds)
+    inverted = mock.Mock(wraps=dynamics.position_cdf)
+    monkeypatch.setattr(dynamics, "position_cdf", inverted)
+    batches = mock.Mock(wraps=dynamics.transport_batch)
+    monkeypatch.setattr(ensemble, "integrate_batch", batches)
+    cfg = _write_config(tmp_path, n_traj=64, dt_ps=0.02, seed=3, out_dir=tmp_path / "o")
+    assert main(["compare", "--config", str(cfg)]) == 0
+    assert batches.call_count == 4
+    times = {call.args[1] for call in inverted.call_args_list}
+    assert len(times) == 42 and inverted.call_count > 2 * len(times)
+    assert builds.call_count == len(times)

@@ -1,5 +1,6 @@
 """Ensemble statistics: runs, time slices, histograms, KS, dip metrics."""
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -27,6 +28,7 @@ from qtraj import (
     side_band_peak,
     slice_values,
 )
+from qtraj import ensemble, wavefield
 from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho, sigma_t
 
 
@@ -95,6 +97,23 @@ def test_run_ensemble_worker_independent(params):
     a = run_ensemble(cfg, params, workers=1)
     b = run_ensemble(cfg, params, workers=4)
     assert a.data_digest() == b.data_digest()
+
+
+def test_shared_quantile_tables_under_thread_contention(params, monkeypatch):
+    """Eight batches on four threads, switching every microsecond, first
+    touch each record time's shared position CDF together; the ensemble
+    still equals the one-batch build."""
+    cfg = default_config(params, theory="revised", n_traj=256, master_seed=23)
+    expected = run_ensemble(cfg, params, workers=1).data_digest()
+    monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
+    wavefield._shared_position_cdf.cache_clear()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        result = run_ensemble(cfg, params, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.data_digest() == expected
 
 
 def test_rows_format(small_run):

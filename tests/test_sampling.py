@@ -247,3 +247,37 @@ def test_envelope_violations_fail_in_stream_order(params, monkeypatch, first):
     with pytest.raises(EnvelopeViolation, match=f"on stream 707$") as batched:
         make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
     assert str(batched.value) == f"{reference.value} on stream 707"
+
+
+# ---------------------------------------------------------------------------
+# stream states derived a chunk at a time
+# ---------------------------------------------------------------------------
+
+#: Master seeds of one to three pool words, and of more words than the
+#: 4-word pool holds (above 2**128).
+_MASTER_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(2**128, 2**200)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(seed=2**64 + 5, first=2**32 - 100, count=256)  # one chunk straddles 2**32
+@example(seed=2**130 + 7, first=2**32 - 1, count=2)
+@example(seed=0, first=0, count=256)
+@given(
+    seed=_MASTER_SEEDS,
+    first=st.integers(0, 2**20) | st.integers(2**32 - 300, 2**32 + 10) | st.integers(2**64 - 10, 2**70),
+    count=st.integers(1, 256),
+)
+def test_chunk_states_equal_per_stream_generators(seed, first, count):
+    states = sampling._pcg64_states(seed, first, count)
+    expected = [SeededStream(seed, i).generator().bit_generator.state for i in range(first, first + count)]
+    assert states == expected
+
+
+def test_make_initial_conditions_across_two_to_the_32(params):
+    """Chunks whose stream indices gain a second word midway still draw
+    what the per-stream loop draws."""
+    stream = SeededStream(2**130 + 3, 2**32 - 300)
+    x, p = _batched(600, stream, params, 0.0, "revised")
+    x_ref, p_ref = _reference_initial_conditions(600, stream, params, 0.0, "revised")
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(p, p_ref)

@@ -380,6 +380,35 @@ def test_momentum_cumulative_properties(x_half, sigma):
     np.testing.assert_array_equal(momentum_cumulative(np.array([-1e9, 1e9]), params), [0.0, 1.0])
 
 
+def _far_tails(half, width):
+    """Both tails from 30 to 45 widths beyond +-half, where the closed forms
+    reach subnormal values and then underflow."""
+    left = -(half + np.linspace(45.0, 30.0, 200_001) * width)
+    return left, -left[::-1]
+
+
+@pytest.mark.parametrize(
+    "x_half, sigma, t", [(50.0, 0.1, 3.5), (50.0, 0.1, 0.7), (500.0, 5.0, 3.5), (50.0, 10.0, 5.0)]
+)
+def test_mass_coordinate_far_tails_stay_in_unit_interval(x_half, sigma, t):
+    """Once both terms are subnormal their cancellation leaves only rounding
+    noise; F_t must still lie in [0, 1] and never decrease."""
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    for x in _far_tails(x_half, float(sigma_t(params, t))):
+        f = mass_coordinate(x, t, params)
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        assert np.all(np.diff(f) >= 0.0)
+
+
+@pytest.mark.parametrize("x_half, sigma", [(500.0, 5.0), (50.0, 0.1), (50.0, 10.0)])
+def test_momentum_cumulative_far_tails_stay_in_unit_interval(x_half, sigma):
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    for p in _far_tails(0.0, params.sigma_p):
+        f = momentum_cumulative(p, params)
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        assert np.all(np.diff(f) >= 0.0)
+
+
 @pytest.mark.parametrize("x_half, sigma", [(50.0, 10.0), (500.0, 5.0), (50.0, 0.1)])
 def test_momentum_cdf_quantile_round_trip(x_half, sigma, rng):
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
