@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import default_schedule
+from .dynamics import IntegrationSchedule
 from .ensemble import (
     EnsembleConfig,
     EnsembleResult,
@@ -193,7 +193,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
             theory=theory,
             n_traj=n_traj,
             master_seed=seed,
-            schedule=default_schedule(params, t0=t0, t_final=t_final, dt_base=dt),
+            schedule=IntegrationSchedule(t0=t0, t_final=t_final, dt_base=dt),
             slice_times=slice_times,
             n_bins=bins,
         )

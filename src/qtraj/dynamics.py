@@ -16,12 +16,12 @@ trajectory whose right-hand side leaves (0, 1) has escaped to infinity.
 :func:`integrate_batch` integrates the same equation with classical
 fourth-order Runge-Kutta on a fixed base grid, with dyadic halving of the
 step whenever a stage lands in a node-floor region or the step implies a
-speed above the configured cap; the step recovers toward the base size
-after accepted sub-steps.
+speed above 50 sigma_p / m; the step recovers toward the base size after
+accepted sub-steps.
 
-Both engines record on the same grid: step times are bookkept as exact
-dyadic fractions of the base grid, so a recorded sample at base cell k has
-bit-identical time in every trajectory and the recording grid never
+Both engines record on the schedule's one grid: step times are bookkept as
+exact dyadic fractions of the base grid, so a recorded sample at base cell
+k has bit-identical time in every trajectory and the recording grid never
 drifts.  Trajectories in a batch evolve over numpy lanes; elementwise
 kernels make each lane's arithmetic independent of the batch it rides in,
 so one trajectory alone reproduces its in-batch result bit for bit.
@@ -29,7 +29,6 @@ so one trajectory alone reproduces its in-batch result bit for bit.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -48,12 +47,20 @@ from .wavefield import (
 #: Hard cap on step attempts per trajectory, as a multiple of the base-step
 #: count; a lane still unfinished after this many attempts is declared
 #: stalled.  Unreachable for the fields simulated here (rejection cascades
-#: either recover within a few halvings or hit dt_min quickly); the cap is
+#: either recover within a few halvings or exhaust them quickly); the cap is
 #: per-lane bookkeeping, so it does not depend on batch composition.
 _MAX_ATTEMPT_FACTOR = 64
 
-#: Recording interval target of the default schedule; the stride is
-#: dt-dependent so slice times on multiples of this land on recorded samples.
+#: RK4 step control in the physics' own scales: a step halves at most
+#: ``_MAX_HALVINGS`` times below dt_effective, a step implying a speed above
+#: ``_SPEED_CAP_SIGMA_P`` sigma_p / m is rejected, and a lane farther than
+#: ``_DOMAIN_SIGMAS`` sigma beyond the slit centres has exited the domain.
+_MAX_HALVINGS = 20
+_SPEED_CAP_SIGMA_P = 50.0
+_DOMAIN_SIGMAS = 40.0
+
+#: Recording interval target; the stride is dt-dependent so slice times on
+#: multiples of this land on recorded samples.
 _RECORD_INTERVAL_PS = 0.125
 
 STATUS_COMPLETED = "completed"
@@ -66,27 +73,21 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 @dataclass(frozen=True)
 class IntegrationSchedule:
-    """Time grid, step-control limits, and spatial domain for one integration."""
+    """The record grid both engines share.
 
-    t0: float
-    t_final: float
-    dt_base: float
-    record_stride: int
-    dt_min: float
-    max_speed: float
-    x_bound: float
+    [t0, t_final] splits into ``n_base`` equal base cells of about dt_base;
+    a sample is recorded every ``record_stride`` cells and at t_final.
+    """
+
+    t0: float = 0.0
+    t_final: float = 5.0
+    dt_base: float = 0.005
 
     def __post_init__(self) -> None:
         if not self.t_final > self.t0:
             raise ValueError(f"t_final must exceed t0, got [{self.t0!r}, {self.t_final!r}]")
-        if not 0.0 < self.dt_min <= self.dt_base:
-            raise ValueError(f"need 0 < dt_min <= dt_base, got dt_min={self.dt_min!r}, dt_base={self.dt_base!r}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride!r}")
-        if not self.max_speed > 0:
-            raise ValueError(f"max_speed must be positive, got {self.max_speed!r}")
-        if not self.x_bound > 0:
-            raise ValueError(f"x_bound must be positive, got {self.x_bound!r}")
+        if not self.dt_base > 0.0:
+            raise ValueError(f"dt_base must be positive, got {self.dt_base!r}")
 
     @property
     def n_base(self) -> int:
@@ -98,29 +99,19 @@ class IntegrationSchedule:
         return (self.t_final - self.t0) / self.n_base
 
     @property
-    def max_halvings(self) -> int:
-        """Largest halving level j with dt_effective / 2**j still >= dt_min."""
-        return max(0, math.floor(math.log2(self.dt_effective / self.dt_min) + 1e-12))
+    def record_stride(self) -> int:
+        """Base cells per record: ``_RECORD_INTERVAL_PS`` rounded to whole cells."""
+        return max(1, round(_RECORD_INTERVAL_PS / self.dt_base))
 
+    def is_record(self, k):
+        """Whether base cell boundary k (an int or an int array) is recorded."""
+        return (k % self.record_stride == 0) | (k == self.n_base)
 
-def default_schedule(
-    params: DoubleSlitParams,
-    t0: float = 0.0,
-    t_final: float = 5.0,
-    dt_base: float = 0.005,
-) -> IntegrationSchedule:
-    """Schedule with the default step control: a record every
-    ``_RECORD_INTERVAL_PS`` rounded to whole steps, speed cap 50 sigma_p / m,
-    domain bound x_half + 40 sigma, minimum step dt_base / 2**20."""
-    return IntegrationSchedule(
-        t0=t0,
-        t_final=t_final,
-        dt_base=dt_base,
-        record_stride=max(1, round(_RECORD_INTERVAL_PS / dt_base)),
-        dt_min=dt_base / 2**20,
-        max_speed=50.0 * params.sigma_p / params.mass,
-        x_bound=params.x_half + 40.0 * params.sigma,
-    )
+    @property
+    def record_times(self) -> np.ndarray:
+        """Times of the recorded cell boundaries, bit-equal to the step times."""
+        cells = np.flatnonzero(self.is_record(np.arange(self.n_base + 1)))
+        return self.t0 + (cells / self.n_base) * (self.t_final - self.t0)
 
 
 @dataclass
@@ -195,9 +186,8 @@ def transport_batch(
 ) -> TrajectoryColumns:
     """Trajectories of a same-theory batch by exact mass-coordinate transport.
 
-    Records fall on the grid :func:`integrate_batch` uses (every
-    ``record_stride`` base cells and at t_final); no step loop runs, so the
-    schedule's step-control limits and domain bound play no part.  At each
+    Records fall on the schedule's record grid, which :func:`integrate_batch`
+    shares; no step loop runs, so RK4's step control plays no part.  At each
     record the target u = F_0(x0) + (delta_p / m) * integral of rho(x0, s)
     is advanced by an 8-point Gauss-Legendre rule over the record interval,
     and x is the inverse of the closed-form mass coordinate at u.  A lane
@@ -209,17 +199,14 @@ def transport_batch(
     back as columns.
     """
     n = len(ics)
-    n_base = schedule.n_base
-    span = schedule.t_final - schedule.t0
-    cells = [k for k in range(n_base + 1) if k % schedule.record_stride == 0 or k == n_base]
-    times = [schedule.t0 + (k / n_base) * span for k in cells]
+    times = schedule.record_times
     rec_x = np.full((n, len(times)), np.nan)
     rec_p = np.full((n, len(times)), np.nan)
     rec_n = np.ones(n, dtype=np.int64)
     status = np.full(n, STATUS_COMPLETED, dtype=object)
     x0 = np.array([ic.x0 for ic in ics], dtype=float)
     p0 = np.array([ic.p0 for ic in ics], dtype=float)
-    columns = TrajectoryColumns(list(ics), np.array(times), rec_x, rec_p, rec_n, status)
+    columns = TrajectoryColumns(list(ics), times, rec_x, rec_p, rec_n, status)
     if not ics:
         return columns
     theory = _batch_theory(ics, schedule)
@@ -268,7 +255,11 @@ def integrate_batch(
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
 ) -> list[Trajectory]:
-    """Integrate a batch of same-theory trajectories with RK4 in vectorized lockstep."""
+    """Integrate a batch of same-theory trajectories with RK4 in vectorized lockstep.
+
+    Records fall on the schedule's record grid; a lane that stops between
+    records keeps its last state as a final off-grid sample.
+    """
     if not ics:
         return []
     theory = _batch_theory(ics, schedule)
@@ -277,9 +268,9 @@ def integrate_batch(
     n_base = schedule.n_base
     dt_eff = schedule.dt_effective
     span = schedule.t_final - schedule.t0
-    stride = schedule.record_stride
-    j_max = schedule.max_halvings
     mass = params.mass
+    max_speed = _SPEED_CAP_SIGMA_P * params.sigma_p / mass
+    x_bound = params.x_half + _DOMAIN_SIGMAS * params.sigma
 
     x = np.array([ic.x0 for ic in ics], dtype=float)
     field = GuidanceField(theory, params, x, [ic.p0 for ic in ics], schedule.t0)
@@ -293,7 +284,7 @@ def integrate_batch(
     if not np.all(valid0):
         raise NodeSingularity("guidance field undefined at an initial condition")
 
-    max_records = n_base // stride + 3  # start, grid records, possible off-grid tail
+    max_records = schedule.record_times.size + 1  # grid records, possible off-grid tail
     rec_t = np.empty((n, max_records), dtype=float)
     rec_x = np.empty((n, max_records), dtype=float)
     rec_p = np.empty((n, max_records), dtype=float)
@@ -311,7 +302,7 @@ def integrate_batch(
         """Deactivate lanes; keep the current state as a final sample if off-grid."""
         status[lanes] = new_status
         active[lanes] = False
-        off_grid = (m[lanes] != 0) | ((k[lanes] % stride != 0) & (k[lanes] != n_base))
+        off_grid = (m[lanes] != 0) | ~schedule.is_record(k[lanes])
         tail = lanes[off_grid]
         if tail.size:
             slot = rec_n[tail]
@@ -346,13 +337,13 @@ def integrate_batch(
         ok = (
             ok1 & ok2 & ok3 & ok4 & ok5
             & np.isfinite(x_new)
-            & (np.abs(dx) <= schedule.max_speed * dt)
+            & (np.abs(dx) <= max_speed * dt)
         )
 
         rejected = lanes[~ok]
         if rejected.size:
-            stalled = rejected[j[rejected] + 1 > j_max]
-            retry = rejected[j[rejected] + 1 <= j_max]
+            stalled = rejected[j[rejected] + 1 > _MAX_HALVINGS]
+            retry = rejected[j[rejected] + 1 <= _MAX_HALVINGS]
             j[retry] += 1
             m[retry] *= 2
             if stalled.size:
@@ -368,7 +359,7 @@ def integrate_batch(
             m[carry] = 0
 
             at_cell = accepted[m[accepted] == 0]
-            to_record = at_cell[(k[at_cell] % stride == 0) | (k[at_cell] == n_base)]
+            to_record = at_cell[schedule.is_record(k[at_cell])]
             if to_record.size:
                 slot = rec_n[to_record]
                 rec_t[to_record, slot] = times(k[to_record], m[to_record], j[to_record])
@@ -380,7 +371,7 @@ def integrate_batch(
             if done.size:
                 status[done] = STATUS_COMPLETED
                 active[done] = False
-            out = accepted[active[accepted] & (np.abs(x[accepted]) > schedule.x_bound)]
+            out = accepted[active[accepted] & (np.abs(x[accepted]) > x_bound)]
             if out.size:
                 finish(out, STATUS_EXITED)
 
@@ -394,23 +385,3 @@ def integrate_batch(
         Trajectory(ic=ics[i], t=rec_t[i, : rec_n[i]], x=rec_x[i, : rec_n[i]], p=rec_p[i, : rec_n[i]], status=str(status[i]))
         for i in range(n)
     ]
-
-
-def integrate(ic: InitialCondition, schedule: IntegrationSchedule, params: DoubleSlitParams) -> Trajectory:
-    """Integrate a single trajectory (identical to its result in any batch)."""
-    return integrate_batch([ic], schedule, params)[0]
-
-
-def momentum_along(trajectory: Trajectory, params: DoubleSlitParams) -> np.ndarray:
-    """Re-evaluate the guidance momentum at every recorded (x, t) sample.
-
-    Idempotent with the momenta stored during integration; a NodeSingularity
-    here means stored samples violate the node floor, which integration
-    acceptance rules out.
-    """
-    ic = trajectory.ic
-    field = GuidanceField(ic.theory, params, ic.x0, ic.p0, ic.t0)
-    value, valid = field(trajectory.x, trajectory.t)
-    if not np.all(valid):
-        raise NodeSingularity("stored trajectory sample violates the node floor")
-    return np.asarray(value, dtype=float)

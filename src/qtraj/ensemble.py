@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dynamics import IntegrationSchedule, TrajectoryColumns, default_schedule
+from .dynamics import IntegrationSchedule, TrajectoryColumns
 
 # The batch engine keeps the module-level name ``integrate_batch``: the
 # benchmark (bench/child.py) wraps that name to time the dynamics layer.
@@ -109,7 +109,7 @@ def default_config(
     slice_times: tuple[float, ...] | None = None,
     n_bins: int = 200,
 ) -> EnsembleConfig:
-    sched = schedule if schedule is not None else default_schedule(params)
+    sched = schedule if schedule is not None else IntegrationSchedule()
     slices = slice_times if slice_times is not None else (sched.t0, 3.5, sched.t_final)
     pos_spec, mom_spec = default_histogram_specs(params, sched.t_final, n_bins)
     return EnsembleConfig(

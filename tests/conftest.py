@@ -2,7 +2,7 @@
 
 import pytest
 
-from qtraj import DoubleSlitParams, default_schedule
+from qtraj import DoubleSlitParams, IntegrationSchedule
 
 
 @pytest.fixture(scope="session")
@@ -11,5 +11,5 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def schedule(params):
-    return default_schedule(params)
+def schedule():
+    return IntegrationSchedule()

@@ -40,7 +40,7 @@ from qtraj import (
     central_dip_metric,
     default_config,
     default_histogram_specs,
-    integrate,
+    integrate_batch,
     ks_test,
     make_initial_conditions,
     momentum_cdf,
@@ -296,12 +296,8 @@ def test_criterion_08_rk4_order(params):
     ic = InitialCondition(x0=55.0, p0=0.0, t0=0.0, theory="dbb")
 
     def endpoint(dt):
-        sched = IntegrationSchedule(
-            t0=0.0, t_final=5.0, dt_base=dt, record_stride=10**9,
-            dt_min=dt * 0.9, max_speed=50.0 * params.sigma_p,
-            x_bound=params.x_half + 40.0 * params.sigma,
-        )
-        tr = integrate(ic, sched, params)
+        sched = IntegrationSchedule(t0=0.0, t_final=5.0, dt_base=dt)
+        (tr,) = integrate_batch([ic], sched, params)
         assert tr.status == "completed"
         return tr.x[-1]
 
