@@ -43,7 +43,7 @@ from .ensemble import (
 )
 from .sampling import THEORIES, InitialCondition, SeededStream, sample_momenta, sample_positions
 from .wavefield import (
-    ClosedFormCDF,
+    HBAR_NM2_ME_PS,
     DoubleSlitParams,
     continuity_residual,
     continuity_truncation_bound,
@@ -159,6 +159,15 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     if mass <= 0:
         raise ConfigError("mass_me", f"must be > 0, got {mass!r}")
     params = DoubleSlitParams(x_half=x_half, sigma=sigma, mass=mass)
+    for key, scale, value in (
+        ("x_half_nm", "x_half^2", x_half * x_half),
+        ("sigma_nm", "sigma^2", sigma * sigma),
+        ("sigma_nm", "sigma_p^2", params.sigma_p * params.sigma_p),
+        ("mass_me", "hbar/m", HBAR_NM2_ME_PS / mass),
+    ):
+        # the physics squares and divides by these; only x_half^2 may vanish
+        if not (np.isfinite(value) and (value > 0 or key == "x_half_nm")):
+            raise ConfigError(key, f"{scale} = {value!r} lies outside the range of a double")
 
     n_traj = _parse_int(raw, "n_traj")
     if n_traj < 1:
@@ -248,14 +257,8 @@ class SliceReport:
     side_peak: float | None
 
 
-def build_slice_report(
-    result: EnsembleResult, t: float, observable: str, momentum_oracle: ClosedFormCDF
-) -> SliceReport:
-    """Slice, histogram and KS test of one observable at time t.
-
-    ``momentum_oracle`` is the time-independent closed-form momentum CDF
-    (``momentum_cdf(params)``), built once by the caller for all slices.
-    """
+def build_slice_report(result: EnsembleResult, t: float, observable: str) -> SliceReport:
+    """Slice, histogram and KS test of one observable at time t."""
     params = result.params
     config = result.config
     values = slice_values(result, t, observable)
@@ -267,7 +270,7 @@ def build_slice_report(
         dip = peak = None
     else:
         spec = config.momentum_hist
-        oracle_cdf = momentum_oracle
+        oracle_cdf = momentum_cdf(params)
         hist = build_histogram(values.values, spec)
         oracle = np.asarray(momentum_density(hist.centers, params), dtype=float)
         try:
@@ -371,12 +374,7 @@ def _run_one(
     result = run_ensemble(config, setup.params, workers=workers)
     setup.out_dir.mkdir(parents=True, exist_ok=True)
     trajectories = write_trajectories(result, setup.out_dir / f"trajectories{suffix}.csv")
-    momentum_oracle = momentum_cdf(setup.params)
-    reports = [
-        build_slice_report(result, t, obs, momentum_oracle)
-        for t in config.slice_times
-        for obs in ("position", "momentum")
-    ]
+    reports = [build_slice_report(result, t, obs) for t in config.slice_times for obs in ("position", "momentum")]
     histograms = write_histograms(reports, setup.out_dir / f"histograms{suffix}.txt")
     echo = dict(setup.raw)
     echo["theory"] = theory

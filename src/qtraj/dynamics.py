@@ -9,11 +9,11 @@ mass coordinate,
 
 with delta_p = p0 - p_bb(x0, t0) (zero under the Bohm law), because the
 revised correction adds an x-independent term to the probability flux.
-:func:`transport_batch` builds trajectories from that identity: each
+:func:`integrate_batch` builds trajectories from that identity: each
 recorded position is the quantile of the closed-form position CDF, and a
 trajectory whose right-hand side leaves (0, 1) has escaped to infinity.
 
-:func:`integrate_batch` integrates the same equation with classical
+:func:`rk4_batch` integrates the same equation with classical
 fourth-order Runge-Kutta on a fixed base grid, with dyadic halving of the
 step whenever a stage lands in a node-floor region or the step implies a
 speed above 50 sigma_p / m; the step recovers toward the base size after
@@ -110,7 +110,7 @@ class IntegrationSchedule:
     @property
     def record_times(self) -> np.ndarray:
         """Times of the recorded cell boundaries, bit-equal to the step times."""
-        cells = np.flatnonzero(self.is_record(np.arange(self.n_base + 1)))
+        cells = np.append(np.arange(0, self.n_base, self.record_stride), self.n_base)
         return self.t0 + (cells / self.n_base) * (self.t_final - self.t0)
 
 
@@ -169,24 +169,35 @@ class TrajectoryColumns(Sequence):
         return cls(ics, t, joined("x"), joined("p"), joined("n_records"), joined("status"))
 
 
-def _batch_theory(ics: list[InitialCondition], schedule: IntegrationSchedule) -> str:
-    """The one theory of a non-empty batch whose anchors all sit at the schedule's t0."""
+def _start(
+    ics: list[InitialCondition], schedule: IntegrationSchedule, params: DoubleSlitParams
+) -> tuple[GuidanceField, np.ndarray, np.ndarray]:
+    """The guidance field, start positions and start momenta of a non-empty batch.
+
+    The batch must share one theory and start at the schedule's t0; raises
+    :class:`NodeSingularity` if the field is undefined at a start position.
+    """
     theory = ics[0].theory
     if any(ic.theory != theory for ic in ics):
         raise ValueError("all initial conditions in a batch must share one theory")
     if any(ic.t0 != schedule.t0 for ic in ics):
         raise ValueError("initial-condition t0 must match the schedule t0")
-    return theory
+    x0 = np.array([ic.x0 for ic in ics], dtype=float)
+    field = GuidanceField(theory, params, x0, np.array([ic.p0 for ic in ics], dtype=float), schedule.t0)
+    p_start, valid0 = field(x0, schedule.t0, np.arange(len(ics)))
+    if not np.all(valid0):
+        raise NodeSingularity("guidance field undefined at an initial condition")
+    return field, x0, p_start
 
 
-def transport_batch(
+def integrate_batch(
     ics: list[InitialCondition],
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
 ) -> TrajectoryColumns:
     """Trajectories of a same-theory batch by exact mass-coordinate transport.
 
-    Records fall on the schedule's record grid, which :func:`integrate_batch`
+    Records fall on the schedule's record grid, which :func:`rk4_batch`
     shares; no step loop runs, so RK4's step control plays no part.  At each
     record the target u = F_0(x0) + (delta_p / m) * integral of rho(x0, s)
     is advanced by an 8-point Gauss-Legendre rule over the record interval,
@@ -204,19 +215,11 @@ def transport_batch(
     rec_p = np.full((n, len(times)), np.nan)
     rec_n = np.ones(n, dtype=np.int64)
     status = np.full(n, STATUS_COMPLETED, dtype=object)
-    x0 = np.array([ic.x0 for ic in ics], dtype=float)
-    p0 = np.array([ic.p0 for ic in ics], dtype=float)
     columns = TrajectoryColumns(list(ics), times, rec_x, rec_p, rec_n, status)
     if not ics:
         return columns
-    theory = _batch_theory(ics, schedule)
-
-    field = GuidanceField(theory, params, x0, p0, schedule.t0)
-    p_start, valid0 = field(x0, schedule.t0, np.arange(n))
-    if not np.all(valid0):
-        raise NodeSingularity("guidance field undefined at an initial condition")
-    rec_x[:, 0] = x0
-    rec_p[:, 0] = p_start
+    field, x0, p_start = _start(ics, schedule, params)
+    rec_x[:, 0], rec_p[:, 0] = x0, p_start
 
     u_start = mass_coordinate(x0, schedule.t0, params)
     drift = None if field.delta_p is None else field.delta_p / params.mass
@@ -250,7 +253,7 @@ def transport_batch(
     return columns
 
 
-def integrate_batch(
+def rk4_batch(
     ics: list[InitialCondition],
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
@@ -262,7 +265,7 @@ def integrate_batch(
     """
     if not ics:
         return []
-    theory = _batch_theory(ics, schedule)
+    field, x, p_cur = _start(ics, schedule, params)
 
     n = len(ics)
     n_base = schedule.n_base
@@ -272,45 +275,41 @@ def integrate_batch(
     max_speed = _SPEED_CAP_SIGMA_P * params.sigma_p / mass
     x_bound = params.x_half + _DOMAIN_SIGMAS * params.sigma
 
-    x = np.array([ic.x0 for ic in ics], dtype=float)
-    field = GuidanceField(theory, params, x, [ic.p0 for ic in ics], schedule.t0)
     k = np.zeros(n, dtype=np.int64)  # completed base cells
     m = np.zeros(n, dtype=np.int64)  # sub-steps completed inside the current cell
     j = np.zeros(n, dtype=np.int64)  # halving level: step = dt_effective / 2**j
     active = np.ones(n, dtype=bool)
     status = np.full(n, STATUS_COMPLETED, dtype=object)
 
-    p_cur, valid0 = field(x, schedule.t0, np.arange(n))
-    if not np.all(valid0):
-        raise NodeSingularity("guidance field undefined at an initial condition")
-
     max_records = schedule.record_times.size + 1  # grid records, possible off-grid tail
     rec_t = np.empty((n, max_records), dtype=float)
     rec_x = np.empty((n, max_records), dtype=float)
     rec_p = np.empty((n, max_records), dtype=float)
     rec_n = np.zeros(n, dtype=np.int64)
-    rec_t[:, 0] = schedule.t0
-    rec_x[:, 0] = x
-    rec_p[:, 0] = p_cur
-    rec_n[:] = 1
 
     def times(kk, mm, jj):
         frac = (kk + np.ldexp(mm.astype(float), -jj)) / n_base
         return schedule.t0 + frac * span
 
+    def record(lanes):
+        """Append each lane's current state as its next sample."""
+        if not lanes.size:
+            return
+        slot = rec_n[lanes]
+        rec_t[lanes, slot] = times(k[lanes], m[lanes], j[lanes])
+        rec_x[lanes, slot] = x[lanes]
+        rec_p[lanes, slot] = p_cur[lanes]
+        rec_n[lanes] = slot + 1
+
     def finish(lanes, new_status):
         """Deactivate lanes; keep the current state as a final sample if off-grid."""
+        if not lanes.size:
+            return
         status[lanes] = new_status
         active[lanes] = False
-        off_grid = (m[lanes] != 0) | ~schedule.is_record(k[lanes])
-        tail = lanes[off_grid]
-        if tail.size:
-            slot = rec_n[tail]
-            rec_t[tail, slot] = times(k[tail], m[tail], j[tail])
-            rec_x[tail, slot] = x[tail]
-            rec_p[tail, slot] = p_cur[tail]
-            rec_n[tail] = slot + 1
+        record(lanes[(m[lanes] != 0) | ~schedule.is_record(k[lanes])])
 
+    record(np.arange(n))
     max_attempts = _MAX_ATTEMPT_FACTOR * n_base + 4096
     for _ in range(max_attempts):
         lanes = np.flatnonzero(active)
@@ -319,8 +318,8 @@ def integrate_batch(
         xa, ka, ma, ja = x[lanes], k[lanes], m[lanes], j[lanes]
         dt = np.ldexp(dt_eff, -ja)
         t_a = times(ka, ma, ja)
-        t_h = schedule.t0 + ((ka + np.ldexp(2.0 * ma + 1.0, -(ja + 1))) / n_base) * span
-        t_n = schedule.t0 + ((ka + np.ldexp(ma + 1.0, -ja)) / n_base) * span
+        t_h = times(ka, 2 * ma + 1, ja + 1)
+        t_n = times(ka, ma + 1, ja)
 
         with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
             v1, ok1 = field(xa, t_a, lanes)
@@ -346,8 +345,7 @@ def integrate_batch(
             retry = rejected[j[rejected] + 1 <= _MAX_HALVINGS]
             j[retry] += 1
             m[retry] *= 2
-            if stalled.size:
-                finish(stalled, STATUS_STALLED)
+            finish(stalled, STATUS_STALLED)
 
         accepted = lanes[ok]
         if accepted.size:
@@ -359,21 +357,10 @@ def integrate_batch(
             m[carry] = 0
 
             at_cell = accepted[m[accepted] == 0]
-            to_record = at_cell[schedule.is_record(k[at_cell])]
-            if to_record.size:
-                slot = rec_n[to_record]
-                rec_t[to_record, slot] = times(k[to_record], m[to_record], j[to_record])
-                rec_x[to_record, slot] = x[to_record]
-                rec_p[to_record, slot] = p_cur[to_record]
-                rec_n[to_record] = slot + 1
+            record(at_cell[schedule.is_record(k[at_cell])])
 
-            done = accepted[(k[accepted] == n_base) & (m[accepted] == 0)]
-            if done.size:
-                status[done] = STATUS_COMPLETED
-                active[done] = False
-            out = accepted[active[accepted] & (np.abs(x[accepted]) > x_bound)]
-            if out.size:
-                finish(out, STATUS_EXITED)
+            active[accepted[(k[accepted] == n_base) & (m[accepted] == 0)]] = False  # status stays completed
+            finish(accepted[active[accepted] & (np.abs(x[accepted]) > x_bound)], STATUS_EXITED)
 
             recover = accepted[active[accepted] & (j[accepted] > 0) & (m[accepted] % 2 == 0)]
             j[recover] -= 1

@@ -23,11 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dynamics import IntegrationSchedule, TrajectoryColumns
-
-# The batch engine keeps the module-level name ``integrate_batch``: the
-# benchmark (bench/child.py) wraps that name to time the dynamics layer.
-from .dynamics import transport_batch as integrate_batch
+from .dynamics import IntegrationSchedule, TrajectoryColumns, integrate_batch
 from .sampling import THEORIES, SeededStream, make_initial_conditions
 from .wavefield import DoubleSlitParams, GuidanceField
 
@@ -172,7 +168,7 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Sample initial conditions and transport the full ensemble exactly.
 
-    Each batch goes through :func:`qtraj.dynamics.transport_batch`, so a
+    Each batch goes through :func:`qtraj.dynamics.integrate_batch`, so a
     trajectory stops early (status ``node_stalled``) when it escapes to
     infinity.  ``workers`` threads transport fixed-size batches
     concurrently; any worker count (including 1) yields an identical
@@ -210,8 +206,8 @@ def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice
     interpolated point rather than interpolated, and come straight from the
     stored samples when t hits the recording grid.  Trajectories whose
     record ends before t (stalled or exited) are excluded and counted.
-    Every lane records a prefix of one grid, so each step runs over all
-    lanes at once.
+    Every lane records a prefix of one grid, so t is looked up on that grid
+    once for all lanes.
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
@@ -223,36 +219,26 @@ def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice
     cols = result.trajectories
     times, n_rec = cols.t, cols.n_records
     lanes = np.flatnonzero(~(t > times[n_rec - 1] + tol))
-    n_rec = n_rec[lanes]
-    # a lane's own searchsorted over its records: the grid's, capped at its length
-    pos = np.minimum(np.searchsorted(times, t), n_rec)
-    above = (pos < n_rec) & (np.abs(times[np.minimum(pos, n_rec - 1)] - t) <= tol)
-    below = (pos > 0) & (np.abs(times[np.maximum(pos - 1, 0)] - t) <= tol)
-    exact = np.where(above, pos, pos - 1)
-    on_grid = above | below
-
-    column = cols.p if observable == "momentum" else cols.x
-    grid_values = column[lanes[on_grid], exact[on_grid]]
-    between = lanes[~on_grid]
-    lo = pos[~on_grid] - 1
-    w = (t - times[lo]) / (times[lo + 1] - times[lo])
-    x_lo = cols.x[between, lo]
-    x_t = x_lo + w * (cols.x[between, lo + 1] - x_lo)
     n_excluded = len(cols) - lanes.size
-
-    if observable == "position":
-        values = np.empty(lanes.size)
-        values[on_grid], values[~on_grid] = grid_values, x_t
-    elif between.size:
-        p0 = [cols.ics[i].p0 for i in between]
-        field = GuidanceField(result.config.theory, result.params, cols.x[between, 0], p0, sched.t0)
-        p, valid = field(x_t, t)
-        # An interpolated point may sit below the node floor even though the
-        # recorded samples do not; such values are excluded, not invented.
-        values = np.concatenate([grid_values, np.asarray(p, dtype=float)[valid]])
-        n_excluded += int(valid.size - np.count_nonzero(valid))
+    g = int(np.searchsorted(times, t))
+    exact = [i for i in (g, g - 1) if 0 <= i < times.size and abs(times[i] - t) <= tol]
+    if exact:
+        # on a grid finer than tol a lane may stop within tol before t: it gives its last record
+        column = cols.p if observable == "momentum" else cols.x
+        values = column[lanes, np.minimum(exact[0], n_rec[lanes] - 1)]
     else:
-        values = grid_values
+        # t lies inside (times[g - 1], times[g]), which every lane kept recorded
+        w = (t - times[g - 1]) / (times[g] - times[g - 1])
+        x_lo = cols.x[lanes, g - 1]
+        values = x_lo + w * (cols.x[lanes, g] - x_lo)
+        if observable == "momentum":
+            p0 = [cols.ics[i].p0 for i in lanes]
+            field = GuidanceField(result.config.theory, result.params, cols.x[lanes, 0], p0, sched.t0)
+            p, valid = field(values, t)
+            # An interpolated point may sit below the node floor even though the
+            # recorded samples do not; such values are excluded, not invented.
+            values = np.asarray(p, dtype=float)[valid]
+            n_excluded += int(valid.size - np.count_nonzero(valid))
     return TimeSlice(
         time=t,
         observable=observable,

@@ -124,7 +124,7 @@ def _momentum_ratio(p, params: DoubleSlitParams):
 
 
 def _check_envelope(worst: float, what: str, where: str = "") -> None:
-    if worst > _ENVELOPE_SLACK:
+    if not worst <= _ENVELOPE_SLACK:  # a nan ratio violates too
         raise EnvelopeViolation(f"{what} density exceeds its envelope by factor {worst:.17g}{where}")
 
 
@@ -286,7 +286,7 @@ def _sample_chunk(
         momentum_worst = np.where(done, ratio.max(axis=1), 0.0)
         momenta, accepted = _first_accepted(w < ratio, p)
         done &= accepted
-    bad = np.flatnonzero((position_worst > _ENVELOPE_SLACK) | (momentum_worst > _ENVELOPE_SLACK))
+    bad = np.flatnonzero(~((position_worst <= _ENVELOPE_SLACK) & (momentum_worst <= _ENVELOPE_SLACK)))
     first_bad = int(bad[0]) if bad.size else count
     for row in np.flatnonzero(~done[:first_bad]):  # streams before the first violation run first
         fresh = stream.substream(int(row)).generator()

@@ -40,7 +40,6 @@ from qtraj import (
     central_dip_metric,
     default_config,
     default_histogram_specs,
-    integrate_batch,
     ks_test,
     make_initial_conditions,
     momentum_cdf,
@@ -51,6 +50,7 @@ from qtraj import (
     slice_values,
 )
 from qtraj.cli import main
+from qtraj.dynamics import rk4_batch
 from qtraj.ensemble import _band_masks
 from qtraj.wavefield import (
     continuity_residual,
@@ -297,7 +297,7 @@ def test_criterion_08_rk4_order(params):
 
     def endpoint(dt):
         sched = IntegrationSchedule(t0=0.0, t_final=5.0, dt_base=dt)
-        (tr,) = integrate_batch([ic], sched, params)
+        (tr,) = rk4_batch([ic], sched, params)
         assert tr.status == "completed"
         return tr.x[-1]
 

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qtraj import DoubleSlitParams, EnsembleResult, default_config, momentum_cdf, p_bb, rho, run_ensemble
+from qtraj import DoubleSlitParams, EnsembleResult, default_config, p_bb, rho, run_ensemble
 from qtraj import dynamics, ensemble, wavefield
 from qtraj.cli import (
     CONFIG_DEFAULTS,
@@ -84,12 +84,18 @@ def test_overrides_beat_file(tmp_path):
         ("t_final_ps", "0"),
         ("slices_ps", "0, 9"),
         ("bins", "0"),
+        ("sigma_nm", "1e-300"),
+        ("x_half_nm", "1e300"),
+        ("sigma_nm", "1e300"),
+        ("mass_me", "1e-310"),
     ],
 )
 def test_invalid_values_rejected(tmp_path, key, value):
     path = _write_config(tmp_path, **{key: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config(path)
+    assert exc.value.key == key
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -261,8 +267,7 @@ def test_empty_slice_report_is_nan_and_failed(tmp_path):
     res = run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2), params)
     cut = replace(res.trajectories, n_records=np.full(8, 20), status=np.full(8, "node_stalled", dtype=object))
     stopped = EnsembleResult(config=res.config, params=params, trajectories=cut)
-    oracle = momentum_cdf(params)
-    reports = [build_slice_report(stopped, 3.5, obs, oracle) for obs in ("position", "momentum")]
+    reports = [build_slice_report(stopped, 3.5, obs) for obs in ("position", "momentum")]
     for report in reports:
         assert report.slice.n_contributing == 0 and report.slice.n_excluded == 8
         assert np.isnan(report.ks.statistic) and not report.ks.passed
@@ -361,7 +366,7 @@ def test_writers_return_the_sha256_of_their_bytes(tmp_path):
     """Each data file is hashed as it is written; the digest is the file's."""
     params = DoubleSlitParams(50.0, 10.0)
     result = run_ensemble(default_config(params, theory="revised", n_traj=300, master_seed=4), params)
-    reports = [build_slice_report(result, 3.5, obs, momentum_cdf(params)) for obs in ("position", "momentum")]
+    reports = [build_slice_report(result, 3.5, obs) for obs in ("position", "momentum")]
     for written in (write_trajectories(result, tmp_path / "t.csv"), write_histograms(reports, tmp_path / "h.txt")):
         assert written.sha256 == hashlib.sha256(written.path.read_bytes()).hexdigest()
         assert Path(written) == written.path  # usable wherever a path is
@@ -378,7 +383,7 @@ def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch
     monkeypatch.setattr(wavefield, "_quantile_table", builds)
     inverted = mock.Mock(wraps=dynamics.position_cdf)
     monkeypatch.setattr(dynamics, "position_cdf", inverted)
-    batches = mock.Mock(wraps=dynamics.transport_batch)
+    batches = mock.Mock(wraps=dynamics.integrate_batch)
     monkeypatch.setattr(ensemble, "integrate_batch", batches)
     cfg = _write_config(tmp_path, n_traj=64, dt_ps=0.02, seed=3, out_dir=tmp_path / "o")
     assert main(["compare", "--config", str(cfg)]) == 0

@@ -11,10 +11,9 @@ from qtraj import (
     IntegrationSchedule,
     NodeSingularity,
     SeededStream,
-    integrate_batch,
     make_initial_conditions,
 )
-from qtraj.dynamics import STATUS_COMPLETED, STATUS_EXITED, STATUS_STALLED, transport_batch
+from qtraj.dynamics import STATUS_COMPLETED, STATUS_EXITED, STATUS_STALLED, integrate_batch, rk4_batch
 from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -22,7 +21,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 def integrate(ic, schedule, params):
     """One trajectory by RK4, identical to its result in any batch."""
-    return integrate_batch([ic], schedule, params)[0]
+    return rk4_batch([ic], schedule, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +58,16 @@ def test_record_grid_every_eighth_ps(params, dt_base):
     sched = IntegrationSchedule(dt_base=dt_base)
     np.testing.assert_array_equal(sched.record_times, np.arange(41) * 0.125)
     ic = InitialCondition(x0=55.0, p0=0.0, t0=0.0, theory="dbb")
-    for engine in (transport_batch, integrate_batch):
+    for engine in (integrate_batch, rk4_batch):
         np.testing.assert_array_equal(engine([ic], sched, params)[0].t, sched.record_times)
+
+
+def test_record_grid_at_a_nanosecond_step():
+    """dt_base = 1e-9 ps gives 5e9 base cells; the record grid is still the
+    41 eighth-picosecond times, built without touching every cell."""
+    sched = IntegrationSchedule(dt_base=1e-9)
+    assert sched.n_base == 5 * 10**9 and sched.record_stride == 125 * 10**6
+    np.testing.assert_array_equal(sched.record_times, np.arange(41) * 0.125)
 
 
 def test_record_grid_ends_off_stride_at_t_final(params):
@@ -72,7 +79,7 @@ def test_record_grid_ends_off_stride_at_t_final(params):
     np.testing.assert_array_equal(times[:-1], (np.arange(0, 250, 6) / 250) * 5.0)
     assert times.size == 43 and times[-2] < 5.0 and times[-1] == 5.0
     ic = InitialCondition(x0=-12.0, p0=0.0, t0=0.0, theory="dbb")
-    for engine in (transport_batch, integrate_batch):
+    for engine in (integrate_batch, rk4_batch):
         np.testing.assert_array_equal(engine([ic], sched, params)[0].t, times)
 
 
@@ -138,7 +145,7 @@ def test_runaway_exits_small_domain(schedule):
     dispersing packet carries Bohm trajectories past it."""
     narrow = DoubleSlitParams(50.0, 0.1)
     ics = make_initial_conditions(8, SeededStream(1, 0), narrow, 0.0, "dbb")
-    for tr in integrate_batch(ics, schedule, narrow):
+    for tr in rk4_batch(ics, schedule, narrow):
         assert tr.status == STATUS_EXITED
         assert 54.0 < abs(tr.x[-1]) < 60.0
 
@@ -146,7 +153,7 @@ def test_runaway_exits_small_domain(schedule):
 def test_integrate_batch_matches_sequential(params, schedule):
     """Either engine gives each lane the same bytes alone as in a batch."""
     ics = make_initial_conditions(48, SeededStream(6), params, theory="revised")
-    for engine in (integrate_batch, transport_batch):
+    for engine in (rk4_batch, integrate_batch):
         batch = engine(ics, schedule, params)
         for ic, tb in zip(ics, batch):
             ts = engine([ic], schedule, params)[0]
@@ -198,7 +205,7 @@ def _closed_form_targets(ics, times, params):
 def _check_transport(ics, sched, params, tol):
     """Every recorded sample sits on its closed-form mass coordinate; a lane
     stops before t_final only if that coordinate leaves (0, 1) by then."""
-    trajs = transport_batch(ics, sched, params)
+    trajs = integrate_batch(ics, sched, params)
     times = sched.record_times
     target = _closed_form_targets(ics, times, params)
     for i, tr in enumerate(trajs):
@@ -219,8 +226,8 @@ def test_transport_agrees_with_rk4(params, schedule):
     own truncation error; RK4 completes no lane that transport stops."""
     for theory, x_tol, p_tol in (("dbb", 1e-7, 1e-7), ("revised", 1e-3, 1e-3)):
         ics = make_initial_conditions(512, SeededStream(1, 0), params, 0.0, theory)
-        exact = transport_batch(ics, schedule, params)
-        rk4 = integrate_batch(ics, schedule, params)
+        exact = integrate_batch(ics, schedule, params)
+        rk4 = rk4_batch(ics, schedule, params)
         both = [(a, b) for a, b in zip(exact, rk4) if a.status == b.status == STATUS_COMPLETED]
         assert len(both) > 300
         for a, b in both:

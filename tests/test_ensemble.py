@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from scipy.stats import kstest, norm
 
 from qtraj import (
     EnsembleConfig,
+    EnsembleResult,
     Histogram,
     HistogramSpec,
+    IntegrationSchedule,
     SeededStream,
     SliceOutOfRange,
     build_histogram,
     central_dip_metric,
     default_config,
     default_histogram_specs,
-    integrate_batch,
     ks_critical,
     ks_test,
     make_initial_conditions,
@@ -29,6 +31,7 @@ from qtraj import (
     slice_values,
 )
 from qtraj import ensemble, wavefield
+from qtraj.dynamics import TrajectoryColumns, rk4_batch
 from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho, sigma_t
 
 
@@ -230,7 +233,7 @@ def test_revised_stall_fraction_regression(params, schedule):
     below).
     """
     ics = make_initial_conditions(512, SeededStream(1, 0), params, 0.0, "revised")
-    counts = Counter(traj.status for traj in integrate_batch(ics, schedule, params))
+    counts = Counter(traj.status for traj in rk4_batch(ics, schedule, params))
     assert dict(counts) == {"completed": 335, "node_stalled": 177}
 
 
@@ -302,20 +305,64 @@ def _reference_slice(result, t, observable):
 
 def test_slicer_matches_per_trajectory_reference(revised_512):
     """On an ensemble with 105 escapes: at t0, on and off the record grid,
-    at and just after a stop, and at t_final, both observables."""
+    at, just after and within or beyond tol of a stop, at and within tol of
+    t_final, both observables; and on the escaped lanes alone, off the grid
+    after every stop, where no lane is recorded."""
     res = revised_512
     cols = res.trajectories
     stopped_at = np.unique(cols.t[cols.n_records[cols.n_records < cols.t.size] - 1])
     first_stop = float(stopped_at[0])
-    times = [0.0, 1e-10, 2.5, 1.3, 4.0625, first_stop, first_stop + 1e-10, first_stop + 1e-3, 4.999, 5.0]
-    for t in times:
+    tol = 1e-9 * max(1.0, first_stop)
+    near_stop = [first_stop + f * tol for f in (-2.0, -0.5, 0.5, 2.0)]
+    times = [0.0, -1e-10, 1e-10, 2.5, 1.3, 4.0625, first_stop, first_stop + 1e-10, first_stop + 1e-3, *near_stop]
+    times += [4.999, 5.0 - 4e-9, 5.0, 5.0 + 4e-9]
+    escaped = np.flatnonzero(cols.n_records < cols.t.size)
+    last = int(cols.n_records[escaped].max())
+    gone = EnsembleResult(
+        config=res.config,
+        params=res.params,
+        trajectories=TrajectoryColumns(
+            [cols.ics[i] for i in escaped],
+            cols.t,
+            cols.x[escaped],
+            cols.p[escaped],
+            cols.n_records[escaped],
+            cols.status[escaped],
+        ),
+    )
+    off_grid = [0.5 * (cols.t[last - 1] + cols.t[last]), 0.5 * (cols.t[-2] + cols.t[-1]), 5.0]
+    cases = [(res, t) for t in times] + [(gone, t) for t in off_grid]
+    for result, t in cases:
         for observable in ("position", "momentum"):
-            sl = slice_values(res, t, observable)
-            values, n_excluded = _reference_slice(res, t, observable)
+            sl = slice_values(result, t, observable)
+            values, n_excluded = _reference_slice(result, t, observable)
             np.testing.assert_array_equal(sl.values, values)
             assert sl.n_excluded == n_excluded
             assert sl.n_contributing == values.size
     assert 0 < slice_values(res, first_stop + 1e-3, "position").n_excluded < 105
+    # within tol after a stop the stopping lanes still give their last record
+    assert slice_values(res, near_stop[2], "position").n_excluded < slice_values(res, near_stop[3], "position").n_excluded
+    for t in off_grid:
+        sl = slice_values(gone, t, "momentum")
+        assert sl.n_contributing == 0 and sl.n_excluded == escaped.size == 105
+
+
+def test_slicer_on_a_final_interval_inside_tol(params):
+    """With 4e9 + 1 base cells the last record interval, 1.25e-9 ps, is
+    shorter than tol: a lane stopped one record before t_final still gives
+    that record at t_final, as the per-trajectory reference does."""
+    n_base = 4 * 10**9 + 1
+    sched = IntegrationSchedule(dt_base=5.0 / n_base)
+    assert sched.n_base == n_base and sched.record_times.size == 42
+    res = run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2, schedule=sched), params)
+    cut = np.where(np.arange(8) % 2 == 0, sched.record_times.size - 1, sched.record_times.size)
+    res = EnsembleResult(config=res.config, params=params, trajectories=replace(res.trajectories, n_records=cut))
+    for t in (5.0, 5.0 - 1.25e-9, 5.0 - 1e-8):
+        for observable in ("position", "momentum"):
+            values, n_excluded = _reference_slice(res, t, observable)
+            sl = slice_values(res, t, observable)
+            np.testing.assert_array_equal(sl.values, values)
+            assert sl.n_excluded == n_excluded == 0
 
 
 def test_slice_time_out_of_range(small_run):

@@ -1,5 +1,6 @@
 """Module layout: no module reaches into a sibling's private names or
-imports a name it never uses, and importing the CLI stays cheap."""
+imports a name it never uses, importing the CLI stays cheap, and the
+ensemble module runs the exact-transport engine."""
 
 import ast
 import os
@@ -7,7 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qtraj.dynamics
+import qtraj.ensemble
+from qtraj import SeededStream, make_initial_conditions
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qtraj"
 _SOURCES = sorted(path for path in _PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -81,3 +87,13 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     ).stdout.split()
     assert not loaded, f"import qtraj.cli loads {loaded}"
+
+
+def test_ensembles_run_the_transport_engine(params, schedule):
+    """The name the ensemble module calls per batch is the dynamics module's
+    exact-transport engine, which returns columns on the shared grid."""
+    assert qtraj.ensemble.integrate_batch is qtraj.dynamics.integrate_batch
+    ics = make_initial_conditions(4, SeededStream(1, 0), params, 0.0, "revised")
+    columns = qtraj.ensemble.integrate_batch(ics, schedule, params)
+    assert isinstance(columns, qtraj.dynamics.TrajectoryColumns)
+    np.testing.assert_array_equal(columns.t, schedule.record_times)

@@ -230,6 +230,29 @@ def test_envelope_violation_names_its_stream(params, monkeypatch, observable):
         make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
 
 
+@pytest.mark.parametrize("observable", ["position", "momentum"])
+def test_nan_density_ratio_is_a_violation(params, monkeypatch, observable):
+    """A nan density at one proposal, which no acceptance test can pass or
+    reject, is an envelope violation in the batched sampler and in the
+    one-stream loop, not a proposal silently skipped."""
+    stream = SeededStream(5, 7 + 700)
+    x, p = _first_round(stream, params)
+    lone_p = stream.generator().normal(0.0, params.sigma_p, size=64)[-1]  # sample_momenta's first round
+    if observable == "position":
+        monkeypatch.setattr(sampling, "rho", lambda v, t, pr: rho(v, t, pr) * np.where(v == x[-1], np.nan, 1.0))
+        draw = sample_positions
+    else:
+        bad = np.array([p[-1], lone_p])
+        monkeypatch.setattr(
+            sampling, "momentum_density", lambda v, pr: momentum_density(v, pr) * np.where(np.isin(v, bad), np.nan, 1.0)
+        )
+        draw = sample_momenta
+    with pytest.raises(EnvelopeViolation, match=f"^{observable} density exceeds its envelope by factor nan.* on stream 707$"):
+        make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
+    with pytest.raises(EnvelopeViolation, match=f"^{observable} density exceeds its envelope by factor nan"):
+        draw(1, stream, params)
+
+
 @pytest.mark.parametrize("first", ["position", "momentum"])
 def test_envelope_violations_fail_in_stream_order(params, monkeypatch, first):
     """With violations on two streams of one chunk, the earlier stream's is
