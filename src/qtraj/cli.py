@@ -51,6 +51,8 @@ from .wavefield import (
     momentum_cdf,
     momentum_density,
     node_floor,
+    p_bb,
+    p_revised,
     position_cdf,
     rho,
     schrodinger_residual,
@@ -159,11 +161,23 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     if mass <= 0:
         raise ConfigError("mass_me", f"must be > 0, got {mass!r}")
     params = DoubleSlitParams(x_half=x_half, sigma=sigma, mass=mass)
+    t0 = _parse_float(raw, "t0_ps")
+    t_final = _parse_float(raw, "t_final_ps")
+    if not t_final > t0:
+        raise ConfigError("t_final_ps", f"must exceed t0_ps={t0!r}, got {t_final!r}")
+    dt = _parse_float(raw, "dt_ps")
+    if not 0 < dt <= t_final - t0:
+        raise ConfigError("dt_ps", f"must lie in (0, t_final - t0], got {dt!r}")
+    # quantile's far bracket is +-(x_half + 40 sigma_t(t)); one that overflows is rejected below
+    with np.errstate(all="ignore"):
+        reach0, reach1 = (x_half + 40.0 * float(sigma_t(params, t)) for t in (t0, t_final))
     for key, scale, value in (
         ("x_half_nm", "x_half^2", x_half * x_half),
         ("sigma_nm", "sigma^2", sigma * sigma),
         ("sigma_nm", "sigma_p^2", params.sigma_p * params.sigma_p),
         ("mass_me", "hbar/m", HBAR_NM2_ME_PS / mass),
+        ("t0_ps", "(x_half + 40 sigma_t(t0))^2", reach0 * reach0),
+        ("t_final_ps", "(x_half + 40 sigma_t(t_final))^2", reach1 * reach1),
     ):
         # the physics squares and divides by these; only x_half^2 may vanish
         if not (np.isfinite(value) and (value > 0 or key == "x_half_nm")):
@@ -182,13 +196,6 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     if bins < 1:
         raise ConfigError("bins", f"must be >= 1, got {bins!r}")
 
-    t0 = _parse_float(raw, "t0_ps")
-    t_final = _parse_float(raw, "t_final_ps")
-    if not t_final > t0:
-        raise ConfigError("t_final_ps", f"must exceed t0_ps={t0!r}, got {t_final!r}")
-    dt = _parse_float(raw, "dt_ps")
-    if not 0 < dt <= t_final - t0:
-        raise ConfigError("dt_ps", f"must lie in (0, t_final - t0], got {dt!r}")
     try:
         slice_times = tuple(float(part) for part in raw["slices_ps"].split(",") if part.strip())
     except ValueError as exc:
@@ -196,13 +203,16 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     if not slice_times:
         raise ConfigError("slices_ps", "needs at least one slice time")
 
+    schedule = IntegrationSchedule(t0=t0, t_final=t_final, dt_base=dt)
+    if schedule.n_base > 2**53:  # beyond 2^53 cells, k / n_base and the record times are no longer exact
+        raise ConfigError("dt_ps", f"splits [t0, t_final] into {schedule.n_base} base cells, more than 2^53")
     try:
         config = default_config(
             params,
             theory=theory,
             n_traj=n_traj,
             master_seed=seed,
-            schedule=IntegrationSchedule(t0=t0, t_final=t_final, dt_base=dt),
+            schedule=schedule,
             slice_times=slice_times,
             n_bins=bins,
         )
@@ -494,7 +504,7 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
 
     x, t = _interior_points(params, 10_000, t_final, _CONTINUITY_BAND, rng)
     bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
-    resid = np.abs(continuity_residual(x, t, params, h_x, h_t, theory="dbb"))
+    resid = np.abs(continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_bb(xx, tt, params)))
     ratio = float((resid / bound).max())
     checks.append(("continuity_dbb", ratio < 1.0, f"max residual/(10 x budget) = {ratio:.3e}"))
 
@@ -505,7 +515,7 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
     worst_ratio = 0.0
     for x0, p0 in zip(x0s, p0s):
         ic = InitialCondition(x0=float(x0), p0=float(p0), t0=0.0, theory="revised")
-        resid = np.abs(continuity_residual(x, t, params, h_x, h_t, theory="revised", ic=ic))
+        resid = np.abs(continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_revised(xx, tt, ic, params)))
         worst_ratio = max(worst_ratio, float((resid / bound).max()))
     checks.append(("continuity_revised", worst_ratio < 1.0, f"max residual/(10 x budget) = {worst_ratio:.3e} over 20 ic"))
 
@@ -557,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

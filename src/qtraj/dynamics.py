@@ -19,12 +19,13 @@ step whenever a stage lands in a node-floor region or the step implies a
 speed above 50 sigma_p / m; the step recovers toward the base size after
 accepted sub-steps.
 
-Both engines record on the schedule's one grid: step times are bookkept as
-exact dyadic fractions of the base grid, so a recorded sample at base cell
-k has bit-identical time in every trajectory and the recording grid never
-drifts.  Trajectories in a batch evolve over numpy lanes; elementwise
-kernels make each lane's arithmetic independent of the batch it rides in,
-so one trajectory alone reproduces its in-batch result bit for bit.
+Both engines return :class:`TrajectoryColumns` on the schedule's one record
+grid, and a lane that stops keeps its records up to its last grid record.
+RK4 bookkeeps step times as exact dyadic fractions of the base grid, so its
+record steps land on the grid times.  Trajectories in a batch evolve over
+numpy lanes; elementwise kernels make each lane's arithmetic independent of
+the batch it rides in, so one trajectory alone reproduces its in-batch
+result bit for bit.
 """
 
 from __future__ import annotations
@@ -109,9 +110,12 @@ class IntegrationSchedule:
 
     @property
     def record_times(self) -> np.ndarray:
-        """Times of the recorded cell boundaries, bit-equal to the step times."""
+        """Times of the recorded cell boundaries, bit-equal to RK4's step times;
+        the last is t_final exactly."""
         cells = np.append(np.arange(0, self.n_base, self.record_stride), self.n_base)
-        return self.t0 + (cells / self.n_base) * (self.t_final - self.t0)
+        times = self.t0 + (cells / self.n_base) * (self.t_final - self.t0)
+        times[-1] = self.t_final  # the sum rounds away from t_final when |t0| >> t_final - t0
+        return times
 
 
 @dataclass
@@ -171,23 +175,31 @@ class TrajectoryColumns(Sequence):
 
 def _start(
     ics: list[InitialCondition], schedule: IntegrationSchedule, params: DoubleSlitParams
-) -> tuple[GuidanceField, np.ndarray, np.ndarray]:
-    """The guidance field, start positions and start momenta of a non-empty batch.
+) -> tuple[GuidanceField, TrajectoryColumns]:
+    """The guidance field of a batch and its columns on the record grid.
 
-    The batch must share one theory and start at the schedule's t0; raises
-    :class:`NodeSingularity` if the field is undefined at a start position.
+    Each lane holds one record, its start position and field momentum at t0,
+    and status ``completed``.  The batch must share one theory and start at
+    the schedule's t0; raises :class:`NodeSingularity` if the field is
+    undefined at a start position.
     """
-    theory = ics[0].theory
+    n, times = len(ics), schedule.record_times
+    blank = np.full((n, times.size), np.nan)
+    columns = TrajectoryColumns(
+        list(ics), times, blank, blank.copy(), np.ones(n, dtype=np.int64), np.full(n, STATUS_COMPLETED, dtype=object)
+    )
+    theory = ics[0].theory if ics else "dbb"  # an empty batch evaluates its field at no point
     if any(ic.theory != theory for ic in ics):
         raise ValueError("all initial conditions in a batch must share one theory")
     if any(ic.t0 != schedule.t0 for ic in ics):
         raise ValueError("initial-condition t0 must match the schedule t0")
     x0 = np.array([ic.x0 for ic in ics], dtype=float)
     field = GuidanceField(theory, params, x0, np.array([ic.p0 for ic in ics], dtype=float), schedule.t0)
-    p_start, valid0 = field(x0, schedule.t0, np.arange(len(ics)))
+    p_start, valid0 = field(x0, schedule.t0, np.arange(n))
     if not np.all(valid0):
         raise NodeSingularity("guidance field undefined at an initial condition")
-    return field, x0, p_start
+    columns.x[:, 0], columns.p[:, 0] = x0, p_start
+    return field, columns
 
 
 def integrate_batch(
@@ -209,17 +221,10 @@ def integrate_batch(
     Every lane's records are a prefix of the one grid, so the batch comes
     back as columns.
     """
-    n = len(ics)
-    times = schedule.record_times
-    rec_x = np.full((n, len(times)), np.nan)
-    rec_p = np.full((n, len(times)), np.nan)
-    rec_n = np.ones(n, dtype=np.int64)
-    status = np.full(n, STATUS_COMPLETED, dtype=object)
-    columns = TrajectoryColumns(list(ics), times, rec_x, rec_p, rec_n, status)
-    if not ics:
-        return columns
-    field, x0, p_start = _start(ics, schedule, params)
-    rec_x[:, 0], rec_p[:, 0] = x0, p_start
+    field, columns = _start(ics, schedule, params)
+    times, rec_x, rec_p, rec_n, status = columns.t, columns.x, columns.p, columns.n_records, columns.status
+    x0 = rec_x[:, 0].copy()
+    n = x0.size
 
     u_start = mass_coordinate(x0, schedule.t0, params)
     drift = None if field.delta_p is None else field.delta_p / params.mass
@@ -257,17 +262,19 @@ def rk4_batch(
     ics: list[InitialCondition],
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
-) -> list[Trajectory]:
+) -> TrajectoryColumns:
     """Integrate a batch of same-theory trajectories with RK4 in vectorized lockstep.
 
-    Records fall on the schedule's record grid; a lane that stops between
-    records keeps its last state as a final off-grid sample.
+    Records fall on the schedule's record grid, so the batch comes back as
+    columns, as from :func:`integrate_batch`.  A lane that stops (exits the
+    domain or stalls) keeps its records up to its last grid record; its
+    state between that record and the stop is not kept.
     """
-    if not ics:
-        return []
-    field, x, p_cur = _start(ics, schedule, params)
+    field, columns = _start(ics, schedule, params)
+    rec_x, rec_p, rec_n, status = columns.x, columns.p, columns.n_records, columns.status
+    x, p_cur = rec_x[:, 0].copy(), rec_p[:, 0].copy()
 
-    n = len(ics)
+    n = x.size
     n_base = schedule.n_base
     dt_eff = schedule.dt_effective
     span = schedule.t_final - schedule.t0
@@ -279,37 +286,15 @@ def rk4_batch(
     m = np.zeros(n, dtype=np.int64)  # sub-steps completed inside the current cell
     j = np.zeros(n, dtype=np.int64)  # halving level: step = dt_effective / 2**j
     active = np.ones(n, dtype=bool)
-    status = np.full(n, STATUS_COMPLETED, dtype=object)
-
-    max_records = schedule.record_times.size + 1  # grid records, possible off-grid tail
-    rec_t = np.empty((n, max_records), dtype=float)
-    rec_x = np.empty((n, max_records), dtype=float)
-    rec_p = np.empty((n, max_records), dtype=float)
-    rec_n = np.zeros(n, dtype=np.int64)
 
     def times(kk, mm, jj):
         frac = (kk + np.ldexp(mm.astype(float), -jj)) / n_base
         return schedule.t0 + frac * span
 
-    def record(lanes):
-        """Append each lane's current state as its next sample."""
-        if not lanes.size:
-            return
-        slot = rec_n[lanes]
-        rec_t[lanes, slot] = times(k[lanes], m[lanes], j[lanes])
-        rec_x[lanes, slot] = x[lanes]
-        rec_p[lanes, slot] = p_cur[lanes]
-        rec_n[lanes] = slot + 1
-
     def finish(lanes, new_status):
-        """Deactivate lanes; keep the current state as a final sample if off-grid."""
-        if not lanes.size:
-            return
         status[lanes] = new_status
         active[lanes] = False
-        record(lanes[(m[lanes] != 0) | ~schedule.is_record(k[lanes])])
 
-    record(np.arange(n))
     max_attempts = _MAX_ATTEMPT_FACTOR * n_base + 4096
     for _ in range(max_attempts):
         lanes = np.flatnonzero(active)
@@ -357,7 +342,10 @@ def rk4_batch(
             m[carry] = 0
 
             at_cell = accepted[m[accepted] == 0]
-            record(at_cell[schedule.is_record(k[at_cell])])
+            rec = at_cell[schedule.is_record(k[at_cell])]  # each lane's next grid record
+            slot = rec_n[rec]
+            rec_x[rec, slot], rec_p[rec, slot] = x[rec], p_cur[rec]
+            rec_n[rec] = slot + 1
 
             active[accepted[(k[accepted] == n_base) & (m[accepted] == 0)]] = False  # status stays completed
             finish(accepted[active[accepted] & (np.abs(x[accepted]) > x_bound)], STATUS_EXITED)
@@ -368,7 +356,4 @@ def rk4_batch(
     else:
         finish(np.flatnonzero(active), STATUS_STALLED)
 
-    return [
-        Trajectory(ic=ics[i], t=rec_t[i, : rec_n[i]], x=rec_x[i, : rec_n[i]], p=rec_p[i, : rec_n[i]], status=str(status[i]))
-        for i in range(n)
-    ]
+    return columns

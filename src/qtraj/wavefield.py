@@ -501,32 +501,13 @@ def schrodinger_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float,
     return _scalar_like(value, x, t)
 
 
-def continuity_residual(
-    x,
-    t,
-    params: DoubleSlitParams,
-    h_x: float,
-    h_t: float,
-    theory: str = "dbb",
-    ic=None,
-    momentum_fn=None,
-):
+def continuity_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float, momentum_fn):
     """Residual d_t rho + d_x(rho p / m) of the continuity equation by central differences.
 
-    ``theory`` selects the guidance field ("dbb" or "revised", the latter
-    requiring ``ic``); ``momentum_fn(x, t)`` overrides both for negative
-    controls.  The residual is normalized by rho(x, t) / tau with
-    tau = 2 m sigma^2 / hbar.
+    ``momentum_fn(x, t)`` is the guidance field under test, for example
+    ``p_bb`` or ``p_revised`` bound to ``params``.  The residual is
+    normalized by rho(x, t) / tau with tau = 2 m sigma^2 / hbar.
     """
-    if momentum_fn is None:
-        if theory == "dbb":
-            momentum_fn = lambda xx, tt: p_bb(xx, tt, params)
-        elif theory == "revised":
-            if ic is None:
-                raise ValueError("theory='revised' requires an initial condition")
-            momentum_fn = lambda xx, tt: p_revised(xx, tt, ic, params)
-        else:
-            raise ValueError(f"theory must be 'dbb' or 'revised', got {theory!r}")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
 

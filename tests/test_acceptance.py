@@ -110,11 +110,11 @@ def test_criterion_02_continuity_residual(params):
     start = time.perf_counter()
     bound = continuity_truncation_bound(x, t, params, h_x, h_t)
     worst_dbb = float(
-        np.max(np.abs(continuity_residual(x, t, params, h_x, h_t, theory="dbb")) / bound)
+        np.max(np.abs(continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_bb(xx, tt, params))) / bound)
     )
     worst_rev = 0.0
     for ic in make_initial_conditions(100, SeededStream(55), params, theory="revised"):
-        r = continuity_residual(x, t, params, h_x, h_t, theory="revised", ic=ic)
+        r = continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_revised(xx, tt, ic, params))
         worst_rev = max(worst_rev, float(np.max(np.abs(r) / bound)))
     elapsed = time.perf_counter() - start
     ok = worst_dbb < 10.0 and worst_rev < 10.0 and elapsed < 30.0

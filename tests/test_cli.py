@@ -1,6 +1,9 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -88,6 +91,8 @@ def test_overrides_beat_file(tmp_path):
         ("x_half_nm", "1e300"),
         ("sigma_nm", "1e300"),
         ("mass_me", "1e-310"),
+        ("t_final_ps", "1e300"),
+        ("t0_ps", "-1e160"),
     ],
 )
 def test_invalid_values_rejected(tmp_path, key, value):
@@ -329,6 +334,45 @@ def test_bad_config_exit_code(tmp_path, capsys):
     rc = main(["run", "--config", str(path)])
     assert rc == 2
     assert "theory" in capsys.readouterr().err
+
+
+def test_slice_at_t_final_far_from_t0_exits_cleanly(tmp_path, capsys):
+    """At t0 = -1e16 ps the span sum rounds to 4 ps; the record grid still
+    ends at t_final, so the slice at 5 ps lies on it."""
+    path = _write_config(tmp_path, t0_ps="-1e16", dt_ps="1e16", slices_ps="-1e16, 5", n_traj=16)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "t_final,rc",
+    [
+        ("1e14", 2),  # 2e16 base cells, above 2^53: rejected naming dt_ps
+        ("1e13", 1),  # 8e13 records, which numpy refuses outright (582 TiB)
+    ],
+)
+def test_record_grid_too_large_exits_cleanly(tmp_path, capsys, t_final, rc):
+    path = _write_config(tmp_path, t_final_ps=t_final, n_traj=8)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert rc != 2 or "'dt_ps'" in err
+
+
+@pytest.mark.parametrize("t0,codes", [("-6e151", (2,)), ("-5e151", (0, 1))])
+def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, codes):
+    """Beyond |t0| of about 5.8e151 ps, (x_half + 40 sigma_t(t0))^2 overflows
+    and the sampler's position ratios could all vanish; such a t0 is
+    rejected, one just inside runs to the end."""
+    path = _write_config(tmp_path, t0_ps=t0, dt_ps=str(5.0 - float(t0)), slices_ps=f"{t0}, 5", n_traj=16)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "qtraj.cli", "run", "--config", str(path), "--out", str(tmp_path / "o")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode in codes, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.returncode != 2 or "'t0_ps'" in done.stderr
 
 
 def test_bad_flag_exits_via_argparse(tmp_path):

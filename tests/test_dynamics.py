@@ -83,6 +83,14 @@ def test_record_grid_ends_off_stride_at_t_final(params):
         np.testing.assert_array_equal(engine([ic], sched, params)[0].t, times)
 
 
+def test_record_grid_ends_at_t_final_far_from_zero():
+    """With |t0| >> t_final - t0 the sum t0 + 1.0 * (t_final - t0) rounds to
+    4 ps, not 5; the last record time is t_final all the same."""
+    sched = IntegrationSchedule(t0=-1e16, t_final=5.0, dt_base=1e16 + 5.0)
+    assert sched.n_base == 1 and sched.t0 + 1.0 * (sched.t_final - sched.t0) == 4.0
+    np.testing.assert_array_equal(sched.record_times, [-1e16, 5.0])
+
+
 def test_guidance_field_matches_p_bb_and_p_revised(params):
     """The field the integrator, the transport and the slicer share equals
     p_bb / p_revised bit for bit, each lane under its own anchor."""
@@ -142,12 +150,24 @@ def test_runaway_revised_trajectory_stalls(params, schedule):
 
 def test_runaway_exits_small_domain(schedule):
     """At sigma = 0.1 nm the domain bound x_half + 40 sigma is 54 nm, and the
-    dispersing packet carries Bohm trajectories past it."""
+    dispersing packet carries Bohm trajectories past it.  An exited lane keeps
+    a prefix of the record grid, every record inside the bound: it crossed
+    the bound after its last record."""
     narrow = DoubleSlitParams(50.0, 0.1)
     ics = make_initial_conditions(8, SeededStream(1, 0), narrow, 0.0, "dbb")
+    times = schedule.record_times
     for tr in rk4_batch(ics, schedule, narrow):
         assert tr.status == STATUS_EXITED
-        assert 54.0 < abs(tr.x[-1]) < 60.0
+        assert tr.t.size < times.size
+        np.testing.assert_array_equal(tr.t, times[: tr.t.size])
+        assert np.all(np.abs(tr.x) <= 54.0)
+    # recording every base cell, a lane that exits at a cell boundary keeps
+    # its exit state as its last record: the status is set only past 54 nm
+    every_cell = IntegrationSchedule(dt_base=0.125)
+    columns = rk4_batch(ics, every_cell, narrow)
+    past = [tr for tr in columns if abs(tr.x[-1]) > 54.0]
+    assert past and all(tr.status == STATUS_EXITED for tr in past)
+    assert all(np.all(np.abs(tr.x[:-1]) <= 54.0) for tr in columns)
 
 
 def test_integrate_batch_matches_sequential(params, schedule):
@@ -228,13 +248,12 @@ def test_transport_agrees_with_rk4(params, schedule):
         ics = make_initial_conditions(512, SeededStream(1, 0), params, 0.0, theory)
         exact = integrate_batch(ics, schedule, params)
         rk4 = rk4_batch(ics, schedule, params)
-        both = [(a, b) for a, b in zip(exact, rk4) if a.status == b.status == STATUS_COMPLETED]
-        assert len(both) > 300
-        for a, b in both:
-            np.testing.assert_array_equal(a.t, b.t)
-            assert np.max(np.abs(a.x - b.x)) <= x_tol
-            assert np.max(np.abs(a.p - b.p)) <= p_tol * params.sigma_p
-        assert not any(a.status != STATUS_COMPLETED and b.status == STATUS_COMPLETED for a, b in zip(exact, rk4))
+        np.testing.assert_array_equal(exact.t, rk4.t)
+        both = (exact.status == STATUS_COMPLETED) & (rk4.status == STATUS_COMPLETED)
+        assert np.count_nonzero(both) > 300
+        assert np.max(np.abs(exact.x[both] - rk4.x[both])) <= x_tol
+        assert np.max(np.abs(exact.p[both] - rk4.p[both])) <= p_tol * params.sigma_p
+        assert not np.any((exact.status != STATUS_COMPLETED) & (rk4.status == STATUS_COMPLETED))
 
 
 def test_transport_escape_stops_at_last_record(params, schedule):

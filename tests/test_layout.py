@@ -1,6 +1,7 @@
 """Module layout: no module reaches into a sibling's private names or
-imports a name it never uses, importing the CLI stays cheap, and the
-ensemble module runs the exact-transport engine."""
+imports a name it never uses, importing the CLI stays cheap, the ensemble
+module runs the exact-transport engine, and both engines return one result
+type."""
 
 import ast
 import os
@@ -89,11 +90,17 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     assert not loaded, f"import qtraj.cli loads {loaded}"
 
 
-def test_ensembles_run_the_transport_engine(params, schedule):
+def test_ensembles_run_the_transport_engine():
     """The name the ensemble module calls per batch is the dynamics module's
-    exact-transport engine, which returns columns on the shared grid."""
+    exact-transport engine."""
     assert qtraj.ensemble.integrate_batch is qtraj.dynamics.integrate_batch
+
+
+@pytest.mark.parametrize("engine", [qtraj.dynamics.integrate_batch, qtraj.dynamics.rk4_batch], ids=lambda f: f.__name__)
+def test_engines_return_columns_on_the_record_grid(params, schedule, engine):
+    """Both engines return one result type, recorded on the schedule's grid."""
     ics = make_initial_conditions(4, SeededStream(1, 0), params, 0.0, "revised")
-    columns = qtraj.ensemble.integrate_batch(ics, schedule, params)
-    assert isinstance(columns, qtraj.dynamics.TrajectoryColumns)
-    np.testing.assert_array_equal(columns.t, schedule.record_times)
+    for batch in (ics, []):
+        columns = engine(batch, schedule, params)
+        assert isinstance(columns, qtraj.dynamics.TrajectoryColumns) and len(columns) == len(batch)
+        np.testing.assert_array_equal(columns.t, schedule.record_times)

@@ -267,7 +267,7 @@ def test_revised_correction_flux_is_position_independent(params):
 def test_continuity_residual_within_bound_dbb(params, rng):
     x, t = _in_band_points(params, rng, 2000, rel=1e-3)
     h_x, h_t = params.sigma / 1000.0, 2.5e-4
-    r = continuity_residual(x, t, params, h_x, h_t, theory="dbb")
+    r = continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_bb(xx, tt, params))
     b = continuity_truncation_bound(x, t, params, h_x, h_t)
     assert np.all(np.abs(r) <= 10.0 * b)
 
@@ -284,7 +284,7 @@ def test_continuity_residual_within_bound_revised(params, rng):
             t0=0.0,
             theory="revised",
         )
-        r = continuity_residual(x, t, params, h_x, h_t, theory="revised", ic=ic)
+        r = continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_revised(xx, tt, ic, params))
         assert np.all(np.abs(r) <= 10.0 * b)
 
 
@@ -292,10 +292,7 @@ def test_continuity_residual_flags_wrong_field(params, rng):
     """Doubling the momentum field breaks local mass conservation measurably."""
     x, t = _in_band_points(params, rng, 1000)
     h_x, h_t = params.sigma / 1000.0, 2.5e-4
-    r = continuity_residual(
-        x, t, params, h_x, h_t, theory="dbb",
-        momentum_fn=lambda xx, tt: 2.0 * p_bb(xx, tt, params),
-    )
+    r = continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: 2.0 * p_bb(xx, tt, params))
     ratio = np.abs(r) / (10.0 * continuity_truncation_bound(x, t, params, h_x, h_t))
     assert np.max(ratio) > 10.0
     assert np.mean(ratio > 1.0) > 0.5
