@@ -36,6 +36,7 @@ from .ensemble import (
     build_histogram,
     central_dip_metric,
     default_config,
+    default_histogram_specs,
     ks_test,
     run_ensemble,
     side_band_peak,
@@ -272,16 +273,15 @@ def build_slice_report(result: EnsembleResult, t: float, observable: str) -> Sli
     params = result.params
     config = result.config
     values = slice_values(result, t, observable)
+    position_spec, momentum_spec = default_histogram_specs(params, config.schedule.t_final, config.n_bins)
     if observable == "position":
-        spec = config.position_hist
         oracle_cdf = position_cdf(params, t)
-        hist = build_histogram(values.values, spec)
+        hist = build_histogram(values.values, position_spec)
         oracle = np.asarray(rho(hist.centers, t, params), dtype=float)
         dip = peak = None
     else:
-        spec = config.momentum_hist
         oracle_cdf = momentum_cdf(params)
-        hist = build_histogram(values.values, spec)
+        hist = build_histogram(values.values, momentum_spec)
         oracle = np.asarray(momentum_density(hist.centers, params), dtype=float)
         try:
             dip = central_dip_metric(hist, params)
@@ -336,81 +336,53 @@ def write_histograms(reports: list[SliceReport], path: str | Path) -> WrittenFil
     return _write_hashed(path, ["\n".join(lines)], "histograms")
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run and recognize its outputs."""
-
-    config_echo: dict[str, str]
-    started_utc: str
-    finished_utc: str
-    status_counts: dict[str, int]
-    files: list[tuple[str, str]]  # (name, sha256)
-    version: str = __version__
-
-
-def write_manifest(manifest: RunManifest, path: str | Path) -> Path:
-    """Manifest in config syntax: metadata as comments, so it re-parses as config."""
-    path = Path(path)
-    lines = [
-        "# run manifest; reusable as a config file: qtraj run --config <this file>",
-        f"# version = {manifest.version}",
-        f"# started_utc = {manifest.started_utc}",
-        f"# finished_utc = {manifest.finished_utc}",
-    ]
-    for status, count in sorted(manifest.status_counts.items()):
-        lines.append(f"# status {status} = {count}")
-    for name, digest in manifest.files:
-        lines.append(f"# file {name} sha256 = {digest}")
-    for key in CONFIG_DEFAULTS:
-        lines.append(f"{key} = {manifest.config_echo[key]}")
-    lines.append("")
-    try:
-        path.write_text("\n".join(lines), encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"writing manifest to {path}: {exc}") from exc
-    return path
-
-
 def _utc_stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _run_one(
-    setup: RunSetup, theory: str, workers: int, suffix: str = ""
-) -> tuple[EnsembleResult, list[Path], list[SliceReport]]:
-    """Execute one ensemble and write its three output files."""
+def _manifest_text(
+    echo: dict[str, str], started_utc: str, status_counts: dict[str, int], files: list[WrittenFile]
+) -> str:
+    """Manifest in config syntax: metadata as comments, so it re-parses as config."""
+    lines = [
+        "# run manifest; reusable as a config file: qtraj run --config <this file>",
+        f"# version = {__version__}",
+        f"# started_utc = {started_utc}",
+        f"# finished_utc = {_utc_stamp()}",
+    ]
+    for status, count in sorted(status_counts.items()):
+        lines.append(f"# status {status} = {count}")
+    for written in files:
+        lines.append(f"# file {written.path.name} sha256 = {written.sha256}")
+    for key in CONFIG_DEFAULTS:
+        lines.append(f"{key} = {echo[key]}")
+    return "\n".join(lines) + "\n"
+
+
+def _run_one(setup: RunSetup, theory: str, workers: int, suffix: str = "") -> list[SliceReport]:
+    """Execute one ensemble, write its three output files and report them on stdout."""
     config = replace(setup.config, theory=theory)
     started = _utc_stamp()
     result = run_ensemble(config, setup.params, workers=workers)
+    counts = result.status_counts
     setup.out_dir.mkdir(parents=True, exist_ok=True)
     trajectories = write_trajectories(result, setup.out_dir / f"trajectories{suffix}.csv")
     reports = [build_slice_report(result, t, obs) for t in config.slice_times for obs in ("position", "momentum")]
     histograms = write_histograms(reports, setup.out_dir / f"histograms{suffix}.txt")
-    echo = dict(setup.raw)
-    echo["theory"] = theory
-    manifest = RunManifest(
-        config_echo=echo,
-        started_utc=started,
-        finished_utc=_utc_stamp(),
-        status_counts=result.status_counts,
-        files=[(written.path.name, written.sha256) for written in (trajectories, histograms)],
+    manifest = _write_hashed(
+        setup.out_dir / f"manifest{suffix}.txt",
+        [_manifest_text(dict(setup.raw, theory=theory), started, counts, [trajectories, histograms])],
+        "manifest",
     )
-    manifest_path = write_manifest(manifest, setup.out_dir / f"manifest{suffix}.txt")
-    return result, [trajectories.path, histograms.path, manifest_path], reports
-
-
-def _print_status(result: EnsembleResult) -> None:
-    counts = result.status_counts
-    total = len(result.trajectories)
     summary = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
-    print(f"theory={result.config.theory} n_traj={total}: {summary}")
+    print(f"theory={theory} n_traj={len(result.trajectories)}: {summary}")
+    for written in (trajectories, histograms, manifest):
+        print(f"wrote {written.path}")
+    return reports
 
 
 def cmd_run(setup: RunSetup, workers: int) -> int:
-    result, paths, _ = _run_one(setup, setup.config.theory, workers)
-    _print_status(result)
-    for path in paths:
-        print(f"wrote {path}")
+    _run_one(setup, setup.config.theory, workers)
     return 0
 
 
@@ -418,11 +390,8 @@ def cmd_compare(setup: RunSetup, workers: int) -> int:
     """Both theories on one seed (identical initial positions), side by side."""
     reports: dict[str, dict[tuple[float, str], SliceReport]] = {}
     for theory in THEORIES:
-        result, paths, theory_reports = _run_one(setup, theory, workers, suffix=f"-{theory}")
+        theory_reports = _run_one(setup, theory, workers, suffix=f"-{theory}")
         reports[theory] = {(rep.time, rep.observable): rep for rep in theory_reports}
-        _print_status(result)
-        for path in paths:
-            print(f"wrote {path}")
 
     lines = [
         "time_ps observable dbb_ks dbb_passed revised_ks revised_passed",
@@ -446,9 +415,8 @@ def cmd_compare(setup: RunSetup, workers: int) -> int:
         )
     table = "\n".join(lines)
     print(table)
-    compare_path = setup.out_dir / "compare.txt"
-    compare_path.write_text(table + "\n", encoding="ascii")
-    print(f"wrote {compare_path}")
+    compare = _write_hashed(setup.out_dir / "compare.txt", [table + "\n"], "compare table")
+    print(f"wrote {compare.path}")
     return 0
 
 

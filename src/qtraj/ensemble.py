@@ -72,8 +72,7 @@ class EnsembleConfig:
     master_seed: int
     schedule: IntegrationSchedule
     slice_times: tuple[float, ...]
-    position_hist: HistogramSpec
-    momentum_hist: HistogramSpec
+    n_bins: int  # ranges follow: default_histogram_specs(params, schedule.t_final, n_bins)
 
     def __post_init__(self) -> None:
         if self.n_traj < 1:
@@ -82,6 +81,8 @@ class EnsembleConfig:
             raise ValueError(f"theory must be one of {THEORIES}, got {self.theory!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed!r}")
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {self.n_bins!r}")
         for t in self.slice_times:
             if not self.schedule.t0 <= t <= self.schedule.t_final:
                 raise ValueError(f"slice time {t!r} outside [{self.schedule.t0!r}, {self.schedule.t_final!r}]")
@@ -107,15 +108,13 @@ def default_config(
 ) -> EnsembleConfig:
     sched = schedule if schedule is not None else IntegrationSchedule()
     slices = slice_times if slice_times is not None else (sched.t0, 3.5, sched.t_final)
-    pos_spec, mom_spec = default_histogram_specs(params, sched.t_final, n_bins)
     return EnsembleConfig(
         n_traj=n_traj,
         theory=theory,
         master_seed=master_seed,
         schedule=sched,
         slice_times=tuple(slices),
-        position_hist=pos_spec,
-        momentum_hist=mom_spec,
+        n_bins=n_bins,
     )
 
 
@@ -170,20 +169,18 @@ def run_ensemble(
 
     Each batch goes through :func:`qtraj.dynamics.integrate_batch`, so a
     trajectory stops early (status ``node_stalled``) when it escapes to
-    infinity.  ``workers`` threads transport fixed-size batches
-    concurrently; any worker count (including 1) yields an identical
-    result.  Stops are recorded with their status, never raised.
+    infinity.  A pool of ``workers`` threads (at least one) transports
+    fixed-size batches, so a caller's numpy ``errstate`` never reaches them;
+    any worker count yields an identical result.  Stops are recorded with
+    their status, never raised.
     """
     sched = config.schedule
     ics = make_initial_conditions(
         config.n_traj, SeededStream(config.master_seed, 0), params, sched.t0, config.theory
     )
     batches = [ics[i : i + _BATCH_SIZE] for i in range(0, len(ics), _BATCH_SIZE)]
-    if workers <= 1 or len(batches) == 1:
-        batch_results = [integrate_batch(batch, sched, params) for batch in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batch_results = list(pool.map(lambda b: integrate_batch(b, sched, params), batches))
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        batch_results = list(pool.map(lambda b: integrate_batch(b, sched, params), batches))
     return EnsembleResult(config=config, params=params, trajectories=TrajectoryColumns.concat(batch_results))
 
 

@@ -138,7 +138,10 @@ def _draw_positions(n: int, rng: np.random.Generator, params: DoubleSlitParams, 
         centers = np.where(rng.random(batch) < 0.5, -params.x_half, params.x_half)
         x = rng.normal(centers, width)
         ratio, above_floor = _position_ratio(x, params, t0, width)
-        _check_envelope(ratio.max(), "position", f" at t0={t0!r}")
+        worst = ratio.max()
+        _check_envelope(worst, "position", f" at t0={t0!r}")
+        if worst == 0.0:  # as when the packet exponent overflows at t0: then no later round accepts either
+            raise ValueError(f"position density/envelope ratio is 0 at every proposal at t0={t0!r}")
         accepted = x[(rng.random(batch) < ratio) & above_floor]
         take = min(accepted.size, n - filled)
         out[filled : filled + take] = accepted[:take]

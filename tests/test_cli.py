@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qtraj import DoubleSlitParams, EnsembleResult, default_config, p_bb, rho, run_ensemble
+from qtraj import DoubleSlitParams, EnsembleResult, default_config, default_histogram_specs, p_bb, rho, run_ensemble
 from qtraj import dynamics, ensemble, wavefield
 from qtraj.cli import (
     CONFIG_DEFAULTS,
@@ -291,6 +291,21 @@ def test_coarse_bins_still_produce_reports(tmp_path, capsys):
     assert "central_dip_ratio = nan" in text
 
 
+def test_histogram_ranges_follow_bins_and_t_final(tmp_path):
+    """Both observables' edges are those of default_histogram_specs for the
+    run's physics, t_final and bins."""
+    cfg = _write_config(tmp_path, bins=7, t_final_ps=4, slices_ps="0, 2, 4", out_dir=tmp_path / "o7", **FAST)
+    assert main(["run", "--config", str(cfg)]) == 0
+    specs = dict(zip(("position", "momentum"), default_histogram_specs(DoubleSlitParams(50.0, 10.0), 4.0, 7)))
+    blocks = (tmp_path / "o7" / "histograms.txt").read_text(encoding="ascii").split("[slice]")[1:]
+    assert len(blocks) == 6
+    for block in blocks:
+        observable = block.split("observable = ", 1)[1].split(" ", 1)[0]
+        table = block.split("columns = bin_lo bin_hi count density oracle_density\n")[1]
+        rows = [line.split() for line in table.splitlines() if line]
+        assert [row[0] for row in rows] + [rows[-1][1]] == [f"{edge:.10g}" for edge in specs[observable].edges]
+
+
 def test_verify_passes(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out
@@ -373,6 +388,19 @@ def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, codes):
     assert done.returncode in codes, done.stderr
     assert "Traceback" not in done.stderr
     assert done.returncode != 2 or "'t0_ps'" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "command,name,what", [("run", "manifest.txt", "manifest"), ("compare", "compare.txt", "compare table")]
+)
+def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, command, name, what):
+    """A directory where an output file goes makes its write fail; the run
+    ends with exit 1 and one error line naming the file and its kind."""
+    cfg = _write_config(tmp_path, n_traj=16, dt_ps=0.02, seed=3, out_dir=tmp_path / "o")
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: writing {what} to {tmp_path / 'o' / name}: ") and err.count("\n") == 1
 
 
 def test_bad_flag_exits_via_argparse(tmp_path):

@@ -61,8 +61,7 @@ def test_histogram_spec_validation():
     np.testing.assert_allclose(spec.edges, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
-def test_config_rejects_out_of_span_slices(params, schedule):
-    pos, mom = default_histogram_specs(params, schedule.t_final)
+def test_config_rejects_out_of_span_slices(schedule):
     with pytest.raises(ValueError):
         EnsembleConfig(
             n_traj=10,
@@ -70,9 +69,13 @@ def test_config_rejects_out_of_span_slices(params, schedule):
             master_seed=1,
             schedule=schedule,
             slice_times=(0.0, 7.0),
-            position_hist=pos,
-            momentum_hist=mom,
+            n_bins=200,
         )
+
+
+def test_config_rejects_no_bins(params):
+    with pytest.raises(ValueError, match="n_bins"):
+        default_config(params, n_bins=0)
 
 
 def test_default_histogram_specs_symmetric(params):

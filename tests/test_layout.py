@@ -1,7 +1,7 @@
 """Module layout: no module reaches into a sibling's private names or
 imports a name it never uses, importing the CLI stays cheap, the ensemble
-module runs the exact-transport engine, and both engines return one result
-type."""
+module runs the exact-transport engine, both engines return one result
+type, and the CLI writes every file through one hashing writer."""
 
 import ast
 import os
@@ -104,3 +104,23 @@ def test_engines_return_columns_on_the_record_grid(params, schedule, engine):
         columns = engine(batch, schedule, params)
         assert isinstance(columns, qtraj.dynamics.TrajectoryColumns) and len(columns) == len(batch)
         np.testing.assert_array_equal(columns.t, schedule.record_times)
+
+
+def test_cli_writes_only_through_the_hashing_writer():
+    """In cli.py only ``_write_hashed`` calls ``open``, and nothing calls
+    ``write_text`` or ``write_bytes``, so every output file is hashed and
+    every failed write is reported one way."""
+    tree = ast.parse((_PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    enclosing = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                enclosing[node] = func.name  # inner functions are walked later and win
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            where = enclosing.get(node, "<module>")
+            if name in ("write_text", "write_bytes") or (name == "open" and where != "_write_hashed"):
+                offenders.append(f"{where}:{node.lineno} calls {name}")
+    assert not offenders, f"cli.py writes outside _write_hashed: {offenders}"

@@ -1,5 +1,9 @@
 """Initial-condition sampling: seeded streams and rejection samplers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -304,3 +308,34 @@ def test_make_initial_conditions_across_two_to_the_32(params):
     x_ref, p_ref = _reference_initial_conditions(600, stream, params, 0.0, "revised")
     np.testing.assert_array_equal(x, x_ref)
     np.testing.assert_array_equal(p, p_ref)
+
+
+@pytest.mark.parametrize(
+    "call,ends",
+    [
+        ("sample_positions(1, SeededStream(1), params, t0=-1e300)", "ValueError t0=-1e+300"),
+        ("make_initial_conditions(2, SeededStream(1), params, -1e160, 'dbb')", "ValueError t0=-1e+160"),
+        ("sample_positions(1, SeededStream(1), params, t0=-5e151)", "returned"),
+    ],
+)
+def test_position_sampler_ends_when_no_proposal_can_be_accepted(call, ends):
+    """Far enough from the waist the packet exponent overflows and every
+    density/envelope ratio is 0: the sampler raises naming t0 instead of
+    drawing forever.  At t0 = -5e151 the ratios still reach 1 and it returns.
+    Run in a child process, so a hang fails at the timeout."""
+    probe = (
+        "from qtraj import DoubleSlitParams, SeededStream, make_initial_conditions, sample_positions\n"
+        "params = DoubleSlitParams(50.0, 10.0)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError', str(exc).rsplit(' ', 1)[-1])\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ends
