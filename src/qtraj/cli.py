@@ -108,7 +108,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -151,6 +151,9 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
             raise ConfigError(key, "unknown key")
         if value is not None:
             raw[key] = str(value)
+    for key, value in raw.items():
+        if not value.isascii():  # the manifest echoes every value, and each output file is ASCII
+            raise ConfigError(key, f"must be ASCII text, got {ascii(value)}")
 
     x_half = _parse_float(raw, "x_half_nm")
     if x_half < 0:

@@ -2,16 +2,18 @@
 
 Initial positions are drawn from the position density at the start time
 and initial momenta from the closed-form momentum density, both by
-rejection sampling against analytic envelopes, so the draws are exact with
-respect to the target densities (no quadrature or inversion error).
+inversion: a uniform draw u becomes the quantile of the closed-form CDF
+(:func:`position_cdf` or :func:`momentum_cdf`) at u, which
+:meth:`ClosedFormCDF.quantile` confirms to |F(x) - u| <= 1e-14.
 
 Reproducibility contract: every random quantity comes from a
 :class:`SeededStream`, a named position in a seeded family of independent
-generators.  Trajectory ``i`` of an ensemble uses stream index ``i``, and
-its position is always drawn before its momentum, so ensembles with the
-same master seed agree trajectory-by-trajectory regardless of ensemble
-size, execution order, or thread count -- and the two guidance theories
-see identical initial positions.  Stream ``i`` of master seed ``s`` is
+generators.  Trajectory ``i`` of an ensemble uses stream index ``i``: its
+first ``random()`` gives its position and, under the revised theory, its
+second gives its momentum.  So ensembles with the same master seed agree
+trajectory-by-trajectory regardless of ensemble size, execution order, or
+thread count -- and the two guidance theories see identical initial
+positions.  Stream ``i`` of master seed ``s`` is
 ``PCG64(SeedSequence(entropy=s, spawn_key=(i,)))``; the batched sampler
 derives those states itself, a block of streams at a time, and a test
 holds them equal to numpy's.
@@ -20,29 +22,20 @@ holds them equal to numpy's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .wavefield import (
-    DoubleSlitParams,
-    momentum_density,
-    node_floor,
-    norm_constant,
-    p_bb,
-    rho,
-    sigma_t,
-)
+from .wavefield import ClosedFormCDF, DoubleSlitParams, GuidanceField, momentum_cdf, position_cdf
 
-#: Allowed relative overshoot of density/envelope before declaring a bug.
-_ENVELOPE_SLACK = 1.0 + 1e-9
+#: Streams whose states are derived as one block; bounds the list of states
+#: held at once.
+_CHUNK = 1024
 
-#: Proposal batch size floor; acceptance is ~1/2 for both samplers, so one
-#: batch nearly always suffices for a single draw.
-_MIN_BATCH = 64
-
-#: Streams whose first proposal rounds are evaluated as one block; bounds the
-#: (streams, round) arrays of the batched sampler.
-_CHUNK = 256
+#: ``random()`` returns k * 2**-53 for k in [0, 2**53); an exact 0 is moved to
+#: the middle of its cell, so every u lies strictly in (0, 1).  Adding this to
+#: every draw would not do: it rounds the largest draw, 1 - 2**-53, up to 1.
+_SMALLEST_U = 2.0 ** -54
 
 THEORIES = ("dbb", "revised")
 
@@ -56,10 +49,6 @@ _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-class EnvelopeViolation(Exception):
-    """Raised when a target density exceeds its rejection envelope (an implementation bug)."""
 
 
 @dataclass(frozen=True)
@@ -94,81 +83,6 @@ class InitialCondition:
     def __post_init__(self) -> None:
         if self.theory not in THEORIES:
             raise ValueError(f"theory must be one of {THEORIES}, got {self.theory!r}")
-
-
-def _gaussian_pdf(x, center, width):
-    return np.exp(-0.5 * ((x - center) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
-
-
-def _position_ratio(x, params: DoubleSlitParams, t0: float, width: float):
-    """Density/envelope ratio and node-floor test for position proposals x.
-
-    Proposal: equal mixture of Gaussians at the two packet centers with the
-    time-spread width; rho <= (4/N) * proposal pointwise, with equality
-    only for fully overlapping packets.
-    """
-    proposal = 0.5 * (_gaussian_pdf(x, -params.x_half, width) + _gaussian_pdf(x, params.x_half, width))
-    density = rho(x, t0, params)
-    ratio = density / (4.0 / norm_constant(params) * proposal)
-    return ratio, density > float(node_floor(params, t0))
-
-
-def _momentum_ratio(p, params: DoubleSlitParams):
-    """Density/envelope ratio for momentum proposals p.
-
-    Proposal: Gaussian of width sigma_p; the ratio reduces to
-    cos^2(x_half * p / hbar) <= 1 analytically, but it is computed from the
-    density itself so a wrong density cannot pass silently.
-    """
-    return momentum_density(p, params) / (4.0 / norm_constant(params) * _gaussian_pdf(p, 0.0, params.sigma_p))
-
-
-def _check_envelope(worst: float, what: str, where: str = "") -> None:
-    if not worst <= _ENVELOPE_SLACK:  # a nan ratio violates too
-        raise EnvelopeViolation(f"{what} density exceeds its envelope by factor {worst:.17g}{where}")
-
-
-def _draw_positions(n: int, rng: np.random.Generator, params: DoubleSlitParams, t0: float) -> np.ndarray:
-    """Rejection-sample n positions from rho(., t0) using a live generator."""
-    width = float(sigma_t(params, t0))
-    out = np.empty(n, dtype=float)
-    filled = 0
-    while filled < n:
-        batch = max(2 * (n - filled), _MIN_BATCH)
-        centers = np.where(rng.random(batch) < 0.5, -params.x_half, params.x_half)
-        x = rng.normal(centers, width)
-        ratio, above_floor = _position_ratio(x, params, t0, width)
-        worst = ratio.max()
-        _check_envelope(worst, "position", f" at t0={t0!r}")
-        if worst == 0.0:  # as when the packet exponent overflows at t0: then no later round accepts either
-            raise ValueError(f"position density/envelope ratio is 0 at every proposal at t0={t0!r}")
-        accepted = x[(rng.random(batch) < ratio) & above_floor]
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
-
-
-def _draw_momenta(n: int, rng: np.random.Generator, params: DoubleSlitParams) -> np.ndarray:
-    """Rejection-sample n momenta from the closed-form momentum density."""
-    out = np.empty(n, dtype=float)
-    filled = 0
-    while filled < n:
-        batch = max(2 * (n - filled), _MIN_BATCH)
-        p = rng.normal(0.0, params.sigma_p, size=batch)
-        ratio = _momentum_ratio(p, params)
-        _check_envelope(ratio.max(), "momentum")
-        accepted = p[rng.random(batch) < ratio]
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
-
-
-def _first_accepted(keep: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first accepted draw and whether there was one."""
-    first = keep.argmax(axis=1)
-    return draws[np.arange(draws.shape[0]), first], keep[np.arange(keep.shape[0]), first]
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -242,79 +156,54 @@ def _pcg64_states(master_seed: int, first: int, count: int) -> list[dict]:
     return states
 
 
-def _sample_chunk(
-    stream: SeededStream, count: int, params: DoubleSlitParams, t0: float, revised: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One position (and, if ``revised``, one momentum) for each of the
-    ``count`` streams from ``stream`` on.
+def _uniforms(stream: SeededStream, n: int, per_stream: int) -> np.ndarray:
+    """(n, per_stream) array whose row i holds the first ``per_stream``
+    ``random()`` draws of ``stream.substream(i)``.
 
-    Each stream makes exactly the generator calls of ``_draw_positions(1, ...)``
-    then ``_draw_momenta(1, ...)`` for their first proposal round, in the same
-    order, from one reused generator loaded with that stream's state; numpy's
-    ``normal(loc, scale)`` is ``loc + scale * z``, so standard normals scaled
-    over the block give the same bits.  Densities, envelope checks and
-    acceptance then run over the whole (streams, round) block at once.  A
-    stream whose first round accepts nothing (probability about 2**-round)
-    is redrawn through those two functions from its own fresh generator, so
-    every draw equals theirs bit for bit.  Envelope checks fail in the order
-    the per-stream loop meets them: the first stream with a violation is
-    named, its position before its momentum, after the redraws of every
-    stream ahead of it.
+    Each stream's state is loaded into one reused generator, so no
+    ``SeededStream``, ``SeedSequence`` or ``PCG64`` object is built per
+    stream.
     """
-    size = max(2, _MIN_BATCH)  # the first round of a single draw
-    width = float(sigma_t(params, t0))
-    # Per stream: slit choices u, position normals z and acceptances v, then
-    # momentum normals q and acceptances w.
-    u, z, v = np.empty((count, size)), np.empty((count, size)), np.empty((count, size))
-    q, w = (np.empty((count, size)), np.empty((count, size))) if revised else (None, None)
+    draws = np.empty((n, per_stream))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for row, state in enumerate(_pcg64_states(stream.master_seed, stream.stream_index, count)):
-        bit_generator.state = state
-        rng.random(out=u[row])
-        rng.standard_normal(out=z[row])
-        rng.random(out=v[row])
-        if revised:
-            rng.standard_normal(out=q[row])
-            rng.random(out=w[row])
-    x = np.where(u < 0.5, -params.x_half, params.x_half) + width * z
-    ratio, above_floor = _position_ratio(x, params, t0, width)
-    position_worst = ratio.max(axis=1)
-    positions, done = _first_accepted((v < ratio) & above_floor, x)
-    momenta, momentum_worst = np.zeros(count), np.zeros(count)
-    if revised:
-        p = 0.0 + params.sigma_p * q  # normal(0.0, sigma_p), to the sign of a zero
-        ratio = _momentum_ratio(p, params)
-        # Only a stream whose first position round accepted goes on to these proposals.
-        momentum_worst = np.where(done, ratio.max(axis=1), 0.0)
-        momenta, accepted = _first_accepted(w < ratio, p)
-        done &= accepted
-    bad = np.flatnonzero(~((position_worst <= _ENVELOPE_SLACK) & (momentum_worst <= _ENVELOPE_SLACK)))
-    first_bad = int(bad[0]) if bad.size else count
-    for row in np.flatnonzero(~done[:first_bad]):  # streams before the first violation run first
-        fresh = stream.substream(int(row)).generator()
-        positions[row] = _draw_positions(1, fresh, params, t0)[0]
-        if revised:
-            momenta[row] = _draw_momenta(1, fresh, params)[0]
+    for start in range(0, n, _CHUNK):
+        states = _pcg64_states(stream.master_seed, stream.stream_index + start, min(_CHUNK, n - start))
+        for row, state in enumerate(states, start):
+            bit_generator.state = state
+            rng.random(out=draws[row])
+    return draws
+
+
+def _inverted(cdf: ClosedFormCDF, u: np.ndarray, stream_of: Callable[[int], int], what: str) -> np.ndarray:
+    """Quantiles of ``cdf`` at the uniform draws u; entry i was drawn by
+    stream ``stream_of(i)``, which a non-finite quantile names.
+
+    Such a quantile raises here, so numpy's floating-point warnings on the
+    way to it (the CDF overflows far from the waist) are not shown.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = cdf.quantile(np.maximum(u, _SMALLEST_U))
+    bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        on_stream = f" on stream {stream.stream_index + first_bad}"
-        _check_envelope(position_worst[first_bad], "position", f" at t0={t0!r}{on_stream}")
-        _check_envelope(momentum_worst[first_bad], "momentum", on_stream)
-    return positions, momenta
+        raise ValueError(f"{what} is not finite on stream {stream_of(int(bad[0]))}")
+    return x
 
 
 def sample_positions(n: int, stream: SeededStream, params: DoubleSlitParams, t0: float = 0.0) -> np.ndarray:
     """n i.i.d. draws from the position density at time t0, from one stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    return _draw_positions(n, stream.generator(), params, t0)
+    u = stream.generator().random(n)
+    return _inverted(position_cdf(params, t0), u, lambda i: stream.stream_index, f"position draw at t0={t0!r}")
 
 
 def sample_momenta(n: int, stream: SeededStream, params: DoubleSlitParams) -> np.ndarray:
     """n i.i.d. draws from the momentum density, from one stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    return _draw_momenta(n, stream.generator(), params)
+    u = stream.generator().random(n)
+    return _inverted(momentum_cdf(params), u, lambda i: stream.stream_index, "momentum draw")
 
 
 def make_initial_conditions(
@@ -329,23 +218,20 @@ def make_initial_conditions(
     Trajectory i draws from ``stream.substream(i)``: first its position,
     then (revised theory only) its momentum.  Under the dbb theory the
     momentum is not a free initial datum -- it is the phase-gradient field
-    at the start point, which vanishes identically at t0 = 0.
+    at the start point, which vanishes identically at t0 = 0.  A position
+    below the node floor is drawn like any other (the mass there is about
+    1e-13); the integrators' start-up rejects it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if theory not in THEORIES:
         raise ValueError(f"theory must be one of {THEORIES}, got {theory!r}")
-    positions = np.empty(n, dtype=float)
-    momenta = np.empty(n, dtype=float)
-    for start in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - start)
-        block = slice(start, start + count)
-        positions[block], momenta[block] = _sample_chunk(
-            stream.substream(start), count, params, t0, theory == "revised"
-        )
-    if theory == "dbb":
-        momenta = np.asarray(p_bb(positions, t0, params), dtype=float).reshape(n)
-    return [
-        InitialCondition(x0=float(positions[i]), p0=float(momenta[i]), t0=t0, theory=theory)
-        for i in range(n)
-    ]
+    revised = theory == "revised"
+    draws = _uniforms(stream, n, 2 if revised else 1)
+    stream_of = lambda i: stream.stream_index + i
+    positions = _inverted(position_cdf(params, t0), draws[:, 0], stream_of, f"position draw at t0={t0!r}")
+    if revised:
+        momenta = _inverted(momentum_cdf(params), draws[:, 1], stream_of, "momentum draw")
+    else:
+        momenta = GuidanceField("dbb", params)(positions, t0)[0]
+    return [InitialCondition(x0, p0, t0, theory) for x0, p0 in zip(positions.tolist(), momenta.tolist())]

@@ -249,7 +249,8 @@ class ClosedFormCDF:
 
     def quantile(self, u) -> np.ndarray:
         """Points x with F(x) = u, shaped like u: -inf for u <= 0, +inf for
-        u >= 1, and nan for an entry whose inversion did not converge.
+        u >= 1, and nan for an entry whose inversion did not converge or
+        met a nan F.
 
         A table of F and its density on ``_QUANTILE_TABLE_POINTS`` nodes
         over +-(offset + 12 width) brackets each u and seeds it by monotone
@@ -298,12 +299,14 @@ class ClosedFormCDF:
             xa, ua, la, ha = x[lanes], u[lanes], lo[lanes], hi[lanes]
             residual = self.cdf(xa) - ua
             hit = np.abs(residual) <= _QUANTILE_TOL
+            undefined = np.isnan(residual)  # no bracket can close on it
             below = residual < 0.0
             la = np.where(below, xa, la)
             ha = np.where(below, ha, xa)
-            finished = hit | (np.nextafter(la, np.inf) >= ha)
+            finished = hit | undefined | (np.nextafter(la, np.inf) >= ha)
             lo[lanes], hi[lanes] = la, ha
             active[lanes] = ~finished
+            x[lanes[undefined]] = np.nan
             go = ~finished
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 newton = xa[go] - residual[go] / self.pdf(xa[go])

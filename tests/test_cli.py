@@ -103,6 +103,41 @@ def test_invalid_values_rejected(tmp_path, key, value):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_non_ascii_out_dir_rejected(tmp_path, capsys, route):
+    """The manifest echoes out_dir into an ASCII file, so a non-ASCII
+    out_dir is a config error, exit 2, before anything is written: from the
+    config file and from --out alike."""
+    out, ascii_out = tmp_path / "out\u00e9", tmp_path / "o"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"out_dir = {out if route == 'config' else ascii_out}\n", encoding="utf-8")
+    overrides = {"out_dir": str(out)} if route == "flag" else {}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, overrides)
+    assert exc.value.key == "out_dir"
+    argv = ["run", "--config", str(path), "--n", "8", "--theory", "dbb"]
+    assert main(argv + (["--out", str(out)] if route == "flag" else [])) == 2
+    assert "error: config key 'out_dir': must be ASCII text" in capsys.readouterr().err
+    assert not out.exists() and not ascii_out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [("n_traj = \uff18\n".encode("utf-8"), "n_traj"), (b"n_traj = \xff\n", "config")],
+    ids=["fullwidth-digit", "not-utf8"],
+)
+def test_non_ascii_config_text_rejected(tmp_path, text, key):
+    """int() reads a fullwidth digit, but the manifest could not echo it;
+    a file that is not UTF-8 cannot be read at all."""
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert exc.value.key == key
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("x_half_nm = 50\nslit_count = 3\n", encoding="ascii")
@@ -448,7 +483,9 @@ def test_writers_return_the_sha256_of_their_bytes(tmp_path):
 def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch):
     """Two batches per theory invert F_t at the same record times; each
     time's position CDF, with its quantile table, is built once and shared
-    by every batch and both theories."""
+    by every batch and both theories.  The sampler adds two tables: F_t0,
+    which both theories' position draws share, and the momentum CDF of the
+    revised draws."""
     monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
     wavefield._shared_position_cdf.cache_clear()
     builds = mock.Mock(wraps=wavefield._quantile_table)
@@ -462,4 +499,4 @@ def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch
     assert batches.call_count == 4
     times = {call.args[1] for call in inverted.call_args_list}
     assert len(times) == 42 and inverted.call_count > 2 * len(times)
-    assert builds.call_count == len(times)
+    assert builds.call_count == len(times) + 2

@@ -1,10 +1,13 @@
-"""Initial-condition sampling: seeded streams and rejection samplers."""
+"""Initial-condition sampling: seeded streams and inversion of the
+closed-form CDFs.
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-from unittest import mock
+The samplers are held to their target densities (chi-squared, moments),
+the batched sampler to a per-stream loop that inverts each stream's own
+draws, bit for bit, and the vectorised stream seeding to numpy's.
+"""
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from scipy.stats import chi2
 
 from qtraj import (
     DoubleSlitParams,
-    EnvelopeViolation,
     InitialCondition,
+    IntegrationSchedule,
+    NodeSingularity,
     SeededStream,
     make_initial_conditions,
     momentum_cdf,
@@ -25,7 +29,8 @@ from qtraj import (
     sample_positions,
 )
 from qtraj import sampling
-from qtraj.wavefield import momentum_density, p_bb, rho, sigma_t
+from qtraj.dynamics import integrate_batch, rk4_batch
+from qtraj.wavefield import momentum_density, node_floor, p_bb, rho
 
 MOMENTUM_SECOND_MOMENT_REF = 33.50224233169468699
 CHI2_99_9 = chi2.ppf(0.999, df=49)
@@ -156,14 +161,16 @@ def test_momentum_density_positive_where_sampled(params):
 
 
 def _reference_initial_conditions(n, stream, params, t0, theory):
-    """One stream per trajectory, drawn one at a time: position, then momentum."""
+    """One stream per trajectory, each draw inverted on its own: position,
+    then momentum."""
+    positions, momenta = position_cdf(params, t0), momentum_cdf(params)
     x = np.empty(n)
-    p = np.zeros(n)
+    p = np.empty(n)
     for i in range(n):
-        rng = stream.substream(i).generator()
-        x[i] = sampling._draw_positions(1, rng, params, t0)[0]
+        rng = SeededStream(stream.master_seed, stream.stream_index + i).generator()
+        x[i] = positions.quantile(max(rng.random(), 2.0**-54))
         if theory == "revised":
-            p[i] = sampling._draw_momenta(1, rng, params)[0]
+            p[i] = momenta.quantile(max(rng.random(), 2.0**-54))
     if theory == "dbb":
         p = p_bb(x, t0, params)
     return x, p
@@ -175,8 +182,8 @@ def _batched(n, stream, params, t0, theory):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@example(seed=1, n=3000, ratio=5.0, mass=1.0, t0=0.7, theory="revised", min_batch=1)
-@example(seed=2, n=2049, ratio=5.0, mass=1.0, t0=0.0, theory="dbb", min_batch=64)
+@example(seed=1, n=3000, ratio=5.0, mass=1.0, t0=0.7, theory="revised")
+@example(seed=2, n=2049, ratio=5.0, mass=1.0, t0=0.0, theory="dbb")
 @given(
     seed=st.integers(0, 2**32),
     n=st.integers(1, 3000),
@@ -184,96 +191,71 @@ def _batched(n, stream, params, t0, theory):
     mass=st.floats(0.05, 20.0),
     t0=st.sampled_from([0.0, 0.7]),
     theory=st.sampled_from(["dbb", "revised"]),
-    min_batch=st.sampled_from([64, 1]),
 )
-def test_make_initial_conditions_matches_per_stream_loop(seed, n, ratio, mass, t0, theory, min_batch):
-    """Bit for bit, across chunk boundaries; with a one-proposal floor about
-    half the lanes are redrawn through the per-stream path."""
+def test_make_initial_conditions_matches_per_stream_loop(seed, n, ratio, mass, t0, theory):
+    """Bit for bit, across chunk boundaries: the quantile of each entry
+    depends only on its own draw, so inverting a block of draws at once
+    gives what inverting each stream's draws alone gives."""
     params = DoubleSlitParams(x_half=ratio * 10.0, sigma=10.0, mass=mass)
     stream = SeededStream(seed, 3)
-    with mock.patch.object(sampling, "_MIN_BATCH", min_batch):
-        x, p = _batched(n, stream, params, t0, theory)
-        x_ref, p_ref = _reference_initial_conditions(n, stream, params, t0, theory)
+    x, p = _batched(n, stream, params, t0, theory)
+    x_ref, p_ref = _reference_initial_conditions(n, stream, params, t0, theory)
     np.testing.assert_array_equal(x, x_ref)
     np.testing.assert_array_equal(p, p_ref)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(p))
 
 
-def test_small_rounds_take_the_fallback_path(params):
-    """With two proposals per first round, many lanes accept nothing at first
-    and are redrawn; the draws still equal the per-stream loop's."""
-    with mock.patch.object(sampling, "_MIN_BATCH", 1):
-        with mock.patch.object(sampling, "_draw_positions", wraps=sampling._draw_positions) as redraws:
-            x, p = _batched(1500, SeededStream(4), params, 0.0, "revised")
-        assert 0.2 * 1500 < redraws.call_count < 0.8 * 1500
-        x_ref, p_ref = _reference_initial_conditions(1500, SeededStream(4), params, 0.0, "revised")
-    np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(p, p_ref)
+def test_extreme_uniform_draws_invert_to_finite_points(params):
+    """random() returns 0 and 1 - 2**-53 at its ends; both must land strictly
+    inside (0, 1) before inversion, or they would become -inf and +inf."""
+    ends = np.array([0.0, 1.0 - 2.0**-53])
+    for cdf in (position_cdf(params, 0.0), momentum_cdf(params)):
+        x = sampling._inverted(cdf, ends, lambda i: i, "draw")
+        assert np.all(np.isfinite(x)) and x[0] < x[1]
+        assert 0.0 < cdf(x[0]) < 1e-15 and 1.0 - 1e-15 < cdf(x[1]) < 1.0
 
 
-def _first_round(stream, params):
-    """The first position and momentum proposals of one stream, as drawn."""
-    rng = stream.generator()
-    centers = np.where(rng.random(64) < 0.5, -params.x_half, params.x_half)
-    x = rng.normal(centers, float(sigma_t(params, 0.0)))
-    rng.random(64)
-    return x, rng.normal(0.0, params.sigma_p, size=64)
+class _NanAt:
+    """A CDF whose quantile is nan at the given draws."""
+
+    def __init__(self, cdf, draws):
+        self.cdf, self.draws = cdf, draws
+
+    def quantile(self, u):
+        return np.where(np.isin(u, self.draws), np.nan, self.cdf.quantile(u))
 
 
 @pytest.mark.parametrize("observable", ["position", "momentum"])
-def test_envelope_violation_names_its_stream(params, monkeypatch, observable):
-    """A density above its envelope at a single proposal -- the last one of
-    one lane's first round, in the middle of a chunk -- is caught."""
-    x, p = _first_round(SeededStream(5, 7 + 700), params)
+def test_nan_quantile_names_its_stream(params, monkeypatch, observable):
+    """A nan quantile at one draw -- stream 707's, in the middle of a chunk
+    -- raises naming that stream, in the batched sampler and in the
+    one-stream sampler, instead of passing a nan start on."""
+    u, w = SeededStream(5, 707).generator().random(2)
     if observable == "position":
-        monkeypatch.setattr(sampling, "rho", lambda v, t, pr: rho(v, t, pr) * np.where(v == x[-1], 10.0, 1.0))
+        monkeypatch.setattr(sampling, "position_cdf", lambda pr, t: _NanAt(position_cdf(pr, t), [u]))
+        draw, what = sample_positions, r"position draw at t0=0\.0"
     else:
-        monkeypatch.setattr(
-            sampling, "momentum_density", lambda v, pr: momentum_density(v, pr) * np.where(v == p[-1], 10.0, 1.0)
-        )
-    with pytest.raises(EnvelopeViolation, match=f"{observable} density exceeds .* on stream 707$"):
+        # the batched sampler inverts w, the one-stream sampler u
+        monkeypatch.setattr(sampling, "momentum_cdf", lambda pr: _NanAt(momentum_cdf(pr), [u, w]))
+        draw, what = sample_momenta, "momentum draw"
+    with pytest.raises(ValueError, match=f"^{what} is not finite on stream 707$"):
         make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
+    with pytest.raises(ValueError, match=f"^{what} is not finite on stream 707$"):
+        draw(1, SeededStream(5, 707), params)
 
 
-@pytest.mark.parametrize("observable", ["position", "momentum"])
-def test_nan_density_ratio_is_a_violation(params, monkeypatch, observable):
-    """A nan density at one proposal, which no acceptance test can pass or
-    reject, is an envelope violation in the batched sampler and in the
-    one-stream loop, not a proposal silently skipped."""
-    stream = SeededStream(5, 7 + 700)
-    x, p = _first_round(stream, params)
-    lone_p = stream.generator().normal(0.0, params.sigma_p, size=64)[-1]  # sample_momenta's first round
-    if observable == "position":
-        monkeypatch.setattr(sampling, "rho", lambda v, t, pr: rho(v, t, pr) * np.where(v == x[-1], np.nan, 1.0))
-        draw = sample_positions
-    else:
-        bad = np.array([p[-1], lone_p])
-        monkeypatch.setattr(
-            sampling, "momentum_density", lambda v, pr: momentum_density(v, pr) * np.where(np.isin(v, bad), np.nan, 1.0)
-        )
-        draw = sample_momenta
-    with pytest.raises(EnvelopeViolation, match=f"^{observable} density exceeds its envelope by factor nan.* on stream 707$"):
-        make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
-    with pytest.raises(EnvelopeViolation, match=f"^{observable} density exceeds its envelope by factor nan"):
-        draw(1, stream, params)
-
-
-@pytest.mark.parametrize("first", ["position", "momentum"])
-def test_envelope_violations_fail_in_stream_order(params, monkeypatch, first):
-    """With violations on two streams of one chunk, the earlier stream's is
-    raised, as in the one-stream-at-a-time loop, whichever observable it is."""
-    later = "momentum" if first == "position" else "position"
-    bad = {first: SeededStream(5, 7 + 700), later: SeededStream(5, 7 + 703)}
-    x = _first_round(bad["position"], params)[0][-1]
-    p = _first_round(bad["momentum"], params)[1][-1]
-    monkeypatch.setattr(sampling, "rho", lambda v, t, pr: rho(v, t, pr) * np.where(v == x, 10.0, 1.0))
-    monkeypatch.setattr(
-        sampling, "momentum_density", lambda v, pr: momentum_density(v, pr) * np.where(v == p, 10.0, 1.0)
-    )
-    with pytest.raises(EnvelopeViolation, match=f"^{first} density exceeds") as reference:
-        _reference_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
-    with pytest.raises(EnvelopeViolation, match=f"on stream 707$") as batched:
-        make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
-    assert str(batched.value) == f"{reference.value} on stream 707"
+@pytest.mark.parametrize("theory", ["dbb", "revised"])
+def test_start_below_the_node_floor_is_left_to_the_engines(params, monkeypatch, theory):
+    """Inversion samples all of rho, so a draw of 1e-14 lands below the node
+    floor (|x| > 122.45 nm at t0 = 0): the sampler returns it, and the
+    engines' start-up, the one place that decides where the field is
+    defined, raises."""
+    monkeypatch.setattr(sampling, "_uniforms", lambda stream, n, per_stream: np.full((n, per_stream), 1e-14))
+    (ic,) = make_initial_conditions(1, SeededStream(1), params, 0.0, theory)
+    assert ic.x0 < -122.45 and rho(ic.x0, 0.0, params) < node_floor(params, 0.0)
+    for engine in (integrate_batch, rk4_batch):
+        with pytest.raises(NodeSingularity):
+            engine([ic], IntegrationSchedule(), params)
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +293,23 @@ def test_make_initial_conditions_across_two_to_the_32(params):
 
 
 @pytest.mark.parametrize(
-    "call,ends",
+    "draw,t0,ends",
     [
-        ("sample_positions(1, SeededStream(1), params, t0=-1e300)", "ValueError t0=-1e+300"),
-        ("make_initial_conditions(2, SeededStream(1), params, -1e160, 'dbb')", "ValueError t0=-1e+160"),
-        ("sample_positions(1, SeededStream(1), params, t0=-5e151)", "returned"),
+        (lambda params, t0: sample_positions(1, SeededStream(1), params, t0), -1e300, "raises"),
+        (lambda params, t0: make_initial_conditions(2, SeededStream(1), params, t0, "dbb"), -1e160, "raises"),
+        (lambda params, t0: sample_positions(1, SeededStream(1), params, t0), -5e151, "returns"),
     ],
+    ids=["sample_positions-1e300", "make_initial_conditions-1e160", "sample_positions-5e151"],
 )
-def test_position_sampler_ends_when_no_proposal_can_be_accepted(call, ends):
-    """Far enough from the waist the packet exponent overflows and every
-    density/envelope ratio is 0: the sampler raises naming t0 instead of
-    drawing forever.  At t0 = -5e151 the ratios still reach 1 and it returns.
-    Run in a child process, so a hang fails at the timeout."""
-    probe = (
-        "from qtraj import DoubleSlitParams, SeededStream, make_initial_conditions, sample_positions\n"
-        "params = DoubleSlitParams(50.0, 10.0)\n"
-        "try:\n"
-        f"    {call}\n"
-        "except ValueError as exc:\n"
-        "    print('ValueError', str(exc).rsplit(' ', 1)[-1])\n"
-        "else:\n"
-        "    print('returned')\n"
-    )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ends
+def test_position_draw_far_from_the_waist(params, draw, t0, ends):
+    """Far enough from the waist the closed-form CDF is nan: the draw raises
+    naming t0 and its stream, without a floating-point warning.  At
+    t0 = -5e151 the CDF still holds and the draw is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if ends == "raises":
+            message = re.escape(f"position draw at t0={t0!r} is not finite on stream 0")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                draw(params, t0)
+        else:
+            assert np.all(np.isfinite(draw(params, t0)))
