@@ -482,10 +482,9 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
     x, t = _interior_points(params, 500, t_final, _CONTINUITY_BAND, rng)
     bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
     x0s = sample_positions(20, SeededStream(seed, 0), params, 0.0)
-    p0s = sample_momenta(20, SeededStream(seed, 1), params)
+    ics = InitialCondition(x0s, sample_momenta(20, SeededStream(seed, 1), params), 0.0, "revised")
     worst_ratio = 0.0
-    for x0, p0 in zip(x0s, p0s):
-        ic = InitialCondition(x0=float(x0), p0=float(p0), t0=0.0, theory="revised")
+    for ic in ics:
         resid = np.abs(continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_revised(xx, tt, ic, params)))
         worst_ratio = max(worst_ratio, float((resid / bound).max()))
     checks.append(("continuity_revised", worst_ratio < 1.0, f"max residual/(10 x budget) = {worst_ratio:.3e} over 20 ic"))
@@ -521,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--out", default=None, metavar="DIR", help="output directory override")
         cmd.add_argument("--workers", type=int, default=1, metavar="N", help="worker threads for the trajectory batches (default 1)")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
 
     overrides = {
         "theory": args.theory,

@@ -19,13 +19,13 @@ step whenever a stage lands in a node-floor region or the step implies a
 speed above 50 sigma_p / m; the step recovers toward the base size after
 accepted sub-steps.
 
-Both engines return :class:`TrajectoryColumns` on the schedule's one record
-grid, and a lane that stops keeps its records up to its last grid record.
-RK4 bookkeeps step times as exact dyadic fractions of the base grid, so its
-record steps land on the grid times.  Trajectories in a batch evolve over
-numpy lanes; elementwise kernels make each lane's arithmetic independent of
-the batch it rides in, so one trajectory alone reproduces its in-batch
-result bit for bit.
+Both engines take one :class:`InitialCondition` batch and return
+:class:`TrajectoryColumns` on the schedule's one record grid; a lane that
+stops keeps its records up to its last grid record.  RK4 bookkeeps step
+times as exact dyadic fractions of the base grid, so its record steps land
+on the grid times.  Trajectories in a batch evolve over numpy lanes;
+elementwise kernels make each lane's arithmetic independent of the batch
+it rides in, so a one-lane slice reproduces its in-batch result bit for bit.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class TrajectoryColumns(Sequence):
     views over these arrays.
     """
 
-    ics: list[InitialCondition]
+    ics: InitialCondition  # (n,) batch
     t: np.ndarray  # (R,) record grid
     x: np.ndarray  # (n, R)
     p: np.ndarray  # (n, R)
@@ -158,8 +158,8 @@ class TrajectoryColumns(Sequence):
         return Trajectory(ic=self.ics[i], t=self.t[:k], x=self.x[i, :k], p=self.p[i, :k], status=str(self.status[i]))
 
     @classmethod
-    def concat(cls, parts: list["TrajectoryColumns"]) -> "TrajectoryColumns":
-        """The lanes of ``parts`` in order; every part must share one record grid."""
+    def concat(cls, ics: InitialCondition, parts: list["TrajectoryColumns"]) -> "TrajectoryColumns":
+        """The lanes of ``parts``, which split the batch ``ics`` in order on one record grid."""
         if len(parts) == 1:
             return parts[0]
         t = parts[0].t
@@ -169,41 +169,35 @@ class TrajectoryColumns(Sequence):
         def joined(name):
             return np.concatenate([getattr(part, name) for part in parts])
 
-        ics = [ic for part in parts for ic in part.ics]
         return cls(ics, t, joined("x"), joined("p"), joined("n_records"), joined("status"))
 
 
 def _start(
-    ics: list[InitialCondition], schedule: IntegrationSchedule, params: DoubleSlitParams
+    ics: InitialCondition, schedule: IntegrationSchedule, params: DoubleSlitParams
 ) -> tuple[GuidanceField, TrajectoryColumns]:
     """The guidance field of a batch and its columns on the record grid.
 
     Each lane holds one record, its start position and field momentum at t0,
-    and status ``completed``.  The batch must share one theory and start at
-    the schedule's t0; raises :class:`NodeSingularity` if the field is
-    undefined at a start position.
+    and status ``completed``.  The batch must start at the schedule's t0; raises
+    :class:`NodeSingularity` if the field is undefined at a start position.
     """
     n, times = len(ics), schedule.record_times
     blank = np.full((n, times.size), np.nan)
     columns = TrajectoryColumns(
-        list(ics), times, blank, blank.copy(), np.ones(n, dtype=np.int64), np.full(n, STATUS_COMPLETED, dtype=object)
+        ics, times, blank, blank.copy(), np.ones(n, dtype=np.int64), np.full(n, STATUS_COMPLETED, dtype=object)
     )
-    theory = ics[0].theory if ics else "dbb"  # an empty batch evaluates its field at no point
-    if any(ic.theory != theory for ic in ics):
-        raise ValueError("all initial conditions in a batch must share one theory")
-    if any(ic.t0 != schedule.t0 for ic in ics):
+    if ics.t0 != schedule.t0:
         raise ValueError("initial-condition t0 must match the schedule t0")
-    x0 = np.array([ic.x0 for ic in ics], dtype=float)
-    field = GuidanceField(theory, params, x0, np.array([ic.p0 for ic in ics], dtype=float), schedule.t0)
-    p_start, valid0 = field(x0, schedule.t0, np.arange(n))
+    field = GuidanceField(ics.theory, params, ics.x0, ics.p0, schedule.t0)
+    p_start, valid0 = field(ics.x0, schedule.t0, np.arange(n))
     if not np.all(valid0):
         raise NodeSingularity("guidance field undefined at an initial condition")
-    columns.x[:, 0], columns.p[:, 0] = x0, p_start
+    columns.x[:, 0], columns.p[:, 0] = ics.x0, p_start
     return field, columns
 
 
 def integrate_batch(
-    ics: list[InitialCondition],
+    ics: InitialCondition,
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
 ) -> TrajectoryColumns:
@@ -259,7 +253,7 @@ def integrate_batch(
 
 
 def rk4_batch(
-    ics: list[InitialCondition],
+    ics: InitialCondition,
     schedule: IntegrationSchedule,
     params: DoubleSlitParams,
 ) -> TrajectoryColumns:

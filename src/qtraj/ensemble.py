@@ -169,19 +169,21 @@ def run_ensemble(
 
     Each batch goes through :func:`qtraj.dynamics.integrate_batch`, so a
     trajectory stops early (status ``node_stalled``) when it escapes to
-    infinity.  A pool of ``workers`` threads (at least one) transports
-    fixed-size batches, so a caller's numpy ``errstate`` never reaches them;
-    any worker count yields an identical result.  Stops are recorded with
-    their status, never raised.
+    infinity.  A pool of ``workers`` threads transports fixed-size slices
+    of the sampled batch, so a caller's numpy ``errstate`` never reaches
+    them; any worker count yields an identical result.  Stops are recorded
+    with their status, never raised; ``workers`` below 1 raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     sched = config.schedule
     ics = make_initial_conditions(
         config.n_traj, SeededStream(config.master_seed, 0), params, sched.t0, config.theory
     )
     batches = [ics[i : i + _BATCH_SIZE] for i in range(0, len(ics), _BATCH_SIZE)]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         batch_results = list(pool.map(lambda b: integrate_batch(b, sched, params), batches))
-    return EnsembleResult(config=config, params=params, trajectories=TrajectoryColumns.concat(batch_results))
+    return EnsembleResult(config=config, params=params, trajectories=TrajectoryColumns.concat(ics, batch_results))
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,7 @@ def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice
         x_lo = cols.x[lanes, g - 1]
         values = x_lo + w * (cols.x[lanes, g] - x_lo)
         if observable == "momentum":
-            p0 = [cols.ics[i].p0 for i in lanes]
-            field = GuidanceField(result.config.theory, result.params, cols.x[lanes, 0], p0, sched.t0)
+            field = GuidanceField(result.config.theory, result.params, cols.x[lanes, 0], cols.ics.p0[lanes], sched.t0)
             p, valid = field(values, t)
             # An interpolated point may sit below the node floor even though the
             # recorded samples do not; such values are excluded, not invented.

@@ -8,20 +8,20 @@ inversion: a uniform draw u becomes the quantile of the closed-form CDF
 
 Reproducibility contract: every random quantity comes from a
 :class:`SeededStream`, a named position in a seeded family of independent
-generators.  Trajectory ``i`` of an ensemble uses stream index ``i``: its
-first ``random()`` gives its position and, under the revised theory, its
-second gives its momentum.  So ensembles with the same master seed agree
-trajectory-by-trajectory regardless of ensemble size, execution order, or
-thread count -- and the two guidance theories see identical initial
-positions.  Stream ``i`` of master seed ``s`` is
-``PCG64(SeedSequence(entropy=s, spawn_key=(i,)))``; the batched sampler
-derives those states itself, a block of streams at a time, and a test
-holds them equal to numpy's.
+generators.  Trajectory ``i`` of an ensemble uses ``SeededStream(seed, i)``:
+its first ``random()`` gives its position and, under the revised theory,
+its second gives its momentum, each a column of one :class:`InitialCondition`
+batch.  So ensembles with the same master seed agree trajectory-by-trajectory
+regardless of ensemble size, execution order, or thread count -- and the two
+guidance theories see identical initial positions.  Stream ``i`` of master
+seed ``s`` is ``PCG64(SeedSequence(entropy=s, spawn_key=(i,)))``; the batched
+sampler derives those states itself, a block of streams at a time, and a
+test holds them equal to numpy's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,22 +67,31 @@ class SeededStream:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def substream(self, offset: int) -> "SeededStream":
-        return SeededStream(self.master_seed, self.stream_index + offset)
-
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Start state of one trajectory; with the theory, it fixes the path."""
+    """Start states of a same-theory batch: lane i starts at (x0[i], p0[i]) at t0.
+    ``x0`` and ``p0`` are equal-length 1-D arrays, or floats for one lane.  An
+    int index gives one lane, with float fields; a slice or index array, a sub-batch."""
 
-    x0: float
-    p0: float
+    x0: float | np.ndarray
+    p0: float | np.ndarray
     t0: float = 0.0
     theory: str = "revised"
 
     def __post_init__(self) -> None:
         if self.theory not in THEORIES:
             raise ValueError(f"theory must be one of {THEORIES}, got {self.theory!r}")
+        if np.shape(self.x0) != np.shape(self.p0):
+            raise ValueError(f"x0 and p0 must have one shape, got {np.shape(self.x0)} and {np.shape(self.p0)}")
+
+    def __len__(self) -> int:
+        return len(self.x0)
+
+    def __getitem__(self, index) -> "InitialCondition":
+        if isinstance(index, (int, np.integer)):
+            return replace(self, x0=float(self.x0[index]), p0=float(self.p0[index]))
+        return replace(self, x0=self.x0[index], p0=self.p0[index])
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -157,8 +166,8 @@ def _pcg64_states(master_seed: int, first: int, count: int) -> list[dict]:
 
 
 def _uniforms(stream: SeededStream, n: int, per_stream: int) -> np.ndarray:
-    """(n, per_stream) array whose row i holds the first ``per_stream``
-    ``random()`` draws of ``stream.substream(i)``.
+    """(n, per_stream) array: row i holds the first ``per_stream`` ``random()``
+    draws of ``SeededStream(seed, index + i)``, where ``stream`` is (seed, index).
 
     Each stream's state is loaded into one reused generator, so no
     ``SeededStream``, ``SeedSequence`` or ``PCG64`` object is built per
@@ -212,20 +221,18 @@ def make_initial_conditions(
     params: DoubleSlitParams,
     t0: float = 0.0,
     theory: str = "revised",
-) -> list[InitialCondition]:
-    """Initial conditions for n trajectories with per-trajectory substreams.
+) -> InitialCondition:
+    """The batch of initial conditions of n trajectories, one stream each.
 
-    Trajectory i draws from ``stream.substream(i)``: first its position,
-    then (revised theory only) its momentum.  Under the dbb theory the
-    momentum is not a free initial datum -- it is the phase-gradient field
-    at the start point, which vanishes identically at t0 = 0.  A position
-    below the node floor is drawn like any other (the mass there is about
-    1e-13); the integrators' start-up rejects it.
+    Trajectory i draws from ``SeededStream(seed, index + i)``, where ``stream``
+    is (seed, index): first its position, then (revised theory only) its
+    momentum.  Under the dbb theory the momentum is not a free initial datum
+    -- it is the phase-gradient field at the start point, which vanishes
+    identically at t0 = 0.  A position below the node floor is drawn like any
+    other (the mass there is about 1e-13); the integrators' start-up rejects it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    if theory not in THEORIES:
-        raise ValueError(f"theory must be one of {THEORIES}, got {theory!r}")
     revised = theory == "revised"
     draws = _uniforms(stream, n, 2 if revised else 1)
     stream_of = lambda i: stream.stream_index + i
@@ -234,4 +241,4 @@ def make_initial_conditions(
         momenta = _inverted(momentum_cdf(params), draws[:, 1], stream_of, "momentum draw")
     else:
         momenta = GuidanceField("dbb", params)(positions, t0)[0]
-    return [InitialCondition(x0, p0, t0, theory) for x0, p0 in zip(positions.tolist(), momenta.tolist())]
+    return InitialCondition(positions, momenta, t0, theory)

@@ -307,7 +307,7 @@ def test_criterion_07_central_dip(params, full_ensembles):
         h = build_histogram(np.asarray(slice_values(result, t, "momentum").values), mom_spec)
         dips[theory], ses[theory] = _dip_and_se(h, params)
         peaks[theory] = side_band_peak(h, params)
-    x0 = np.array([tr.ic.x0 for tr in full_ensembles["dbb"][0].trajectories])
+    x0 = full_ensembles["dbb"][0].trajectories.ics.x0
     closed = central_dip_metric(build_histogram(_closed_form_dbb_momenta(x0, t, params), mom_spec), params)
     direct, direct_se = _dip_and_se(
         build_histogram(sample_momenta(N_FULL, SeededStream(404), params), mom_spec), params
@@ -343,11 +343,11 @@ def test_criterion_07_central_dip(params, full_ensembles):
 
 
 def test_criterion_08_rk4_order(params):
-    ic = InitialCondition(x0=55.0, p0=0.0, t0=0.0, theory="dbb")
+    ics = InitialCondition(x0=np.array([55.0]), p0=np.array([0.0]), t0=0.0, theory="dbb")
 
     def endpoint(dt):
         sched = IntegrationSchedule(t0=0.0, t_final=5.0, dt_base=dt)
-        (tr,) = rk4_batch([ic], sched, params)
+        (tr,) = rk4_batch(ics, sched, params)
         assert tr.status == "completed"
         return tr.x[-1]
 

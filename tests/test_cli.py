@@ -1,15 +1,20 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtraj import DoubleSlitParams, EnsembleResult, default_config, default_histogram_specs, p_bb, rho, run_ensemble
 from qtraj import dynamics, ensemble, wavefield
@@ -240,6 +245,19 @@ def test_workers_default_to_one(tmp_path, monkeypatch):
     assert seen == [1]
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    """The CLI exits 2 naming --workers before it writes anything, and
+    run_ensemble raises instead of running one worker."""
+    out = tmp_path / "o"
+    assert main(["run", "--n", "8", "--theory", "dbb", "--workers", str(workers), "--out", str(out)]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+    params = DoubleSlitParams(50.0, 10.0)
+    with pytest.raises(ValueError, match="^workers must be >= 1"):
+        run_ensemble(default_config(params, theory="dbb", n_traj=8), params, workers=workers)
+
+
 def test_run_cli_flag_overrides(tmp_path, capsys):
     rc = main(
         ["run", "--theory", "dbb", "--n", "32", "--seed", "4", "--out", str(tmp_path / "o")]
@@ -423,6 +441,39 @@ def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, codes):
     assert done.returncode in codes, done.stderr
     assert "Traceback" not in done.stderr
     assert done.returncode != 2 or "'t0_ps'" in done.stderr
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["run", "compare"]),
+    n=st.integers(1, 8),
+    theory=st.sampled_from(["dbb", "revised"]),
+    ratio=st.floats(0.0, 50.0),
+    sigma=st.floats(0.1, 100.0),
+    mass=st.floats(0.01, 20.0),
+    t0=st.sampled_from([-1.0, 0.0, 0.5]),
+    span=st.floats(0.01, 30.0),
+)
+def test_run_and_compare_end_in_an_exit_code(command, n, theory, ratio, sigma, mass, t0, span):
+    """Across X/sigma, sigma, mass, t0 and span, at dt = span / 20 with slices
+    at t0, mid-span and t_final, run and compare end in exit code 0, 1 or 2
+    and never raise."""
+    t_final = t0 + span
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(
+            Path(tmp),
+            x_half_nm=repr(ratio * sigma),
+            sigma_nm=repr(sigma),
+            mass_me=repr(mass),
+            t0_ps=repr(t0),
+            t_final_ps=repr(t_final),
+            dt_ps=repr(span / 20),
+            slices_ps=f"{t0!r}, {t0 + span / 2!r}, {t_final!r}",
+            out_dir=Path(tmp) / "o",
+        )
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main([command, "--config", str(cfg), "--n", str(n), "--theory", theory])
+    assert rc in (0, 1, 2)
 
 
 @pytest.mark.parametrize(

@@ -19,9 +19,14 @@ from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def one_lane(ic):
+    """The batch of one lane starting at ``ic``."""
+    return InitialCondition(np.array([ic.x0]), np.array([ic.p0]), ic.t0, ic.theory)
+
+
 def integrate(ic, schedule, params):
     """One trajectory by RK4, identical to its result in any batch."""
-    return rk4_batch([ic], schedule, params)[0]
+    return rk4_batch(one_lane(ic), schedule, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +64,7 @@ def test_record_grid_every_eighth_ps(params, dt_base):
     np.testing.assert_array_equal(sched.record_times, np.arange(41) * 0.125)
     ic = InitialCondition(x0=55.0, p0=0.0, t0=0.0, theory="dbb")
     for engine in (integrate_batch, rk4_batch):
-        np.testing.assert_array_equal(engine([ic], sched, params)[0].t, sched.record_times)
+        np.testing.assert_array_equal(engine(one_lane(ic), sched, params)[0].t, sched.record_times)
 
 
 def test_record_grid_at_a_nanosecond_step():
@@ -80,7 +85,7 @@ def test_record_grid_ends_off_stride_at_t_final(params):
     assert times.size == 43 and times[-2] < 5.0 and times[-1] == 5.0
     ic = InitialCondition(x0=-12.0, p0=0.0, t0=0.0, theory="dbb")
     for engine in (integrate_batch, rk4_batch):
-        np.testing.assert_array_equal(engine([ic], sched, params)[0].t, times)
+        np.testing.assert_array_equal(engine(one_lane(ic), sched, params)[0].t, times)
 
 
 def test_record_grid_ends_at_t_final_far_from_zero():
@@ -94,13 +99,13 @@ def test_record_grid_ends_at_t_final_far_from_zero():
 def test_guidance_field_matches_p_bb_and_p_revised(params):
     """The field the integrator, the transport and the slicer share equals
     p_bb / p_revised bit for bit, each lane under its own anchor."""
-    ics = [InitialCondition(x0=x0, p0=p0, t0=0.0) for x0, p0 in ((-30.0, 9.0), (20.0, 4.0), (42.0, -2.5))]
+    ics = InitialCondition(x0=np.array([-30.0, 20.0, 42.0]), p0=np.array([9.0, 4.0, -2.5]), t0=0.0)
     rng = np.random.default_rng(7)
     x = rng.uniform(-80.0, 80.0, 60)
     t = rng.uniform(0.1, 5.0, 60)
     lanes = np.arange(60) % len(ics)
     for theory in ("dbb", "revised"):
-        field = GuidanceField(theory, params, [ic.x0 for ic in ics], [ic.p0 for ic in ics], 0.0)
+        field = GuidanceField(theory, params, ics.x0, ics.p0, 0.0)
         p, valid = field(x, t, lanes)
         assert np.all(valid)
         for i, ic in enumerate(ics):
@@ -175,8 +180,8 @@ def test_integrate_batch_matches_sequential(params, schedule):
     ics = make_initial_conditions(48, SeededStream(6), params, theory="revised")
     for engine in (rk4_batch, integrate_batch):
         batch = engine(ics, schedule, params)
-        for ic, tb in zip(ics, batch):
-            ts = engine([ic], schedule, params)[0]
+        for i, tb in enumerate(batch):
+            ts = engine(ics[i : i + 1], schedule, params)[0]
             assert ts.status == tb.status
             np.testing.assert_array_equal(np.asarray(ts.t), np.asarray(tb.t))
             np.testing.assert_array_equal(np.asarray(ts.x), np.asarray(tb.x))
@@ -208,12 +213,11 @@ def _closed_form_targets(ics, times, params):
     The time integral is an 8-point Gauss-Legendre rule over each interval
     between consecutive ``times``, summed in order.
     """
-    x0 = np.array([ic.x0 for ic in ics])
-    t0 = ics[0].t0
+    x0, t0 = ics.x0, ics.t0
     target = np.repeat(mass_coordinate(x0, t0, params)[:, None], len(times), axis=1)
-    if ics[0].theory == "dbb":
+    if ics.theory == "dbb":
         return target
-    drift = (np.array([ic.p0 for ic in ics]) - p_bb(x0, t0, params)) / params.mass
+    drift = (ics.p0 - p_bb(x0, t0, params)) / params.mass
     lo, hi = np.asarray(times[:-1]), np.asarray(times[1:])
     half = 0.5 * (hi - lo)
     s = lo[:, None] + half[:, None] * (_GL_NODES + 1.0)
@@ -260,7 +264,7 @@ def test_transport_escape_stops_at_last_record(params, schedule):
     """The runaway anchor RK4 stalls at its speed cap escapes in closed form:
     transport keeps every record whose mass coordinate is still in (0, 1)."""
     ic = InitialCondition(x0=55.0, p0=8.0, t0=0.0, theory="revised")
-    (tr,), target = _check_transport([ic], schedule, params, 1e-13)
+    (tr,), target = _check_transport(one_lane(ic), schedule, params, 1e-13)
     assert tr.status == STATUS_STALLED
     assert np.all((target[0, : tr.t.size] > 0.0) & (target[0, : tr.t.size] < 1.0))
 

@@ -140,9 +140,7 @@ def test_rows_format(small_run):
 def test_slice_positions_at_t0_are_initial_positions(small_run):
     _, res = small_run
     sl = slice_values(res, 0.0, "position")
-    np.testing.assert_array_equal(
-        sl.values, [tr.ic.x0 for tr in res.trajectories]
-    )
+    np.testing.assert_array_equal(sl.values, res.trajectories.ics.x0)
     assert sl.n_excluded == 0
 
 
@@ -255,8 +253,7 @@ def test_revised_transport_stops_exactly_the_escapes(params, revised_512):
     res = revised_512
     assert dict(res.status_counts) == {"completed": 374, "node_stalled": 138}
 
-    x0 = np.array([tr.ic.x0 for tr in res.trajectories])
-    p0 = np.array([tr.ic.p0 for tr in res.trajectories])
+    x0, p0 = res.trajectories.ics.x0, res.trajectories.ics.p0
     nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(0.0, 5.0, 41)
     s = edges[:-1, None] + 0.0625 * (nodes + 1.0)
@@ -325,7 +322,7 @@ def test_slicer_matches_per_trajectory_reference(revised_512):
         config=res.config,
         params=res.params,
         trajectories=TrajectoryColumns(
-            [cols.ics[i] for i in escaped],
+            cols.ics[escaped],
             cols.t,
             cols.x[escaped],
             cols.p[escaped],

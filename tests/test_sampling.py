@@ -53,12 +53,6 @@ def test_stream_index_decorrelates():
     assert not np.array_equal(a, b)
 
 
-def test_substream_matches_explicit_index():
-    a = SeededStream(7).substream(13).generator().uniform(size=8)
-    b = SeededStream(7, 13).generator().uniform(size=8)
-    np.testing.assert_array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # samplers vs their target densities
 # ---------------------------------------------------------------------------
@@ -122,24 +116,44 @@ def test_initial_condition_validation():
         InitialCondition(x0=0.0, p0=0.0, t0=0.0, theory="bohm")
 
 
+def test_initial_condition_batch_contract(params):
+    """A batch has a length; an int index gives one lane with float fields,
+    a slice or an index array a sub-batch with the shared t0 and theory;
+    x0 and p0 of different shapes raise."""
+    ics = make_initial_conditions(6, SeededStream(4), params, 0.5, "revised")
+    assert len(ics) == 6
+    for i in (0, 3, np.int64(5), -1):
+        lane = ics[i]
+        assert type(lane.x0) is float and type(lane.p0) is float
+        assert (lane.x0, lane.p0, lane.t0, lane.theory) == (ics.x0[i], ics.p0[i], 0.5, "revised")
+    for index in (slice(1, 4), np.array([4, 0, 2]), slice(0, 0)):
+        sub = ics[index]
+        assert len(sub) == len(ics.x0[index]) and (sub.t0, sub.theory) == (0.5, "revised")
+        np.testing.assert_array_equal(sub.x0, ics.x0[index])
+        np.testing.assert_array_equal(sub.p0, ics.p0[index])
+    for x0, p0 in ((np.zeros(3), np.zeros(2)), (np.zeros(3), 0.0)):
+        with pytest.raises(ValueError, match="^x0 and p0 must have one shape"):
+            InitialCondition(x0=x0, p0=p0)
+
+
 def test_make_initial_conditions_dbb_momenta_zero(params):
     ics = make_initial_conditions(200, SeededStream(1), params, theory="dbb")
     assert len(ics) == 200
-    assert all(ic.theory == "dbb" for ic in ics)
-    assert all(ic.p0 == 0.0 for ic in ics)
+    assert ics.theory == "dbb"
+    assert np.all(ics.p0 == 0.0)
 
 
 def test_make_initial_conditions_positions_paired_across_theories(params):
     """Same master seed draws identical positions for both theories."""
     dbb = make_initial_conditions(300, SeededStream(1), params, theory="dbb")
     rev = make_initial_conditions(300, SeededStream(1), params, theory="revised")
-    np.testing.assert_array_equal([ic.x0 for ic in dbb], [ic.x0 for ic in rev])
-    assert any(ic.p0 != 0.0 for ic in rev)
+    np.testing.assert_array_equal(dbb.x0, rev.x0)
+    assert np.any(rev.p0 != 0.0)
 
 
 def test_make_initial_conditions_momenta_follow_quantum_density(params):
     ics = make_initial_conditions(4000, SeededStream(9), params, theory="revised")
-    p = np.array([ic.p0 for ic in ics])
+    p = ics.p0
     # loose two-moment check; the chi-squared test above covers the sampler
     assert np.mean(p) == pytest.approx(0.0, abs=0.5)
     assert np.mean(p * p) == pytest.approx(MOMENTUM_SECOND_MOMENT_REF, rel=0.1)
@@ -147,7 +161,7 @@ def test_make_initial_conditions_momenta_follow_quantum_density(params):
 
 def test_make_initial_conditions_records_t0(params):
     ics = make_initial_conditions(10, SeededStream(2), params, t0=1.5, theory="revised")
-    assert all(ic.t0 == 1.5 for ic in ics)
+    assert ics.t0 == 1.5
 
 
 def test_momentum_density_positive_where_sampled(params):
@@ -178,7 +192,7 @@ def _reference_initial_conditions(n, stream, params, t0, theory):
 
 def _batched(n, stream, params, t0, theory):
     ics = make_initial_conditions(n, stream, params, t0, theory)
-    return np.array([ic.x0 for ic in ics]), np.array([ic.p0 for ic in ics])
+    return ics.x0, ics.p0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -251,11 +265,12 @@ def test_start_below_the_node_floor_is_left_to_the_engines(params, monkeypatch, 
     engines' start-up, the one place that decides where the field is
     defined, raises."""
     monkeypatch.setattr(sampling, "_uniforms", lambda stream, n, per_stream: np.full((n, per_stream), 1e-14))
-    (ic,) = make_initial_conditions(1, SeededStream(1), params, 0.0, theory)
+    ics = make_initial_conditions(1, SeededStream(1), params, 0.0, theory)
+    ic = ics[0]
     assert ic.x0 < -122.45 and rho(ic.x0, 0.0, params) < node_floor(params, 0.0)
     for engine in (integrate_batch, rk4_batch):
         with pytest.raises(NodeSingularity):
-            engine([ic], IntegrationSchedule(), params)
+            engine(ics, IntegrationSchedule(), params)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ regression oracles.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
 from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity
 from qtraj.wavefield import (
     HBAR_NM2_ME_PS,
     NODE_FLOOR_RELATIVE,
+    _QUANTILE_TOL,
     _prefactor,
     continuity_residual,
     continuity_truncation_bound,
@@ -416,6 +419,41 @@ def test_momentum_cdf_quantile_round_trip(x_half, sigma, rng):
     assert np.all(np.diff(p[np.argsort(u)]) >= 0.0)
     p = momentum_cdf(params).quantile(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
     np.testing.assert_array_equal(p, [-np.inf, np.inf, -np.inf, np.inf, np.nan])
+
+
+#: The draws a sampler can invert: ``random()``'s values in (0, 1), an exact 0
+#: having been moved to 2**-54, the smallest; the largest is 1 - 2**-53.
+_DRAWS = st.floats(2.0**-54, 1.0 - 2.0**-53)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@example(ratio=50.0, sigma=0.1, mass=0.01, when="100 tau", u=[0.5])
+@example(ratio=0.0, sigma=100.0, mass=20.0, when="0", u=[0.5])
+@given(
+    ratio=st.floats(0.0, 50.0),
+    sigma=st.floats(0.1, 100.0),
+    mass=st.floats(0.01, 20.0),
+    when=st.sampled_from(["0", "tau", "3.5 ps", "100 tau"]),
+    u=st.lists(_DRAWS, min_size=1, max_size=16),
+)
+def test_quantiles_finite_and_monotone(ratio, sigma, mass, when, u):
+    """Across X/sigma, sigma, mass and t, both closed-form quantiles are
+    finite from the smallest draw to the largest, and non-decreasing in u
+    between draws more than twice the quantile's tolerance apart.
+
+    Closer draws are not ordered: |F(x) - u| <= 1e-14 leaves x free where F
+    is flat at that scale, so u = 2**-54 and the next double invert one ulp
+    out of order (X = 0, sigma = 10.25 nm, m = 1, t = tau).
+    """
+    params = DoubleSlitParams(x_half=ratio * sigma, sigma=sigma, mass=mass)
+    tau = params.dispersion_time
+    t = {"0": 0.0, "tau": tau, "3.5 ps": 3.5, "100 tau": 100.0 * tau}[when]
+    u = np.sort(np.concatenate([u, [2.0**-54, 1.0 - 2.0**-53]]))
+    resolved = u[None, :] - u[:, None] > 2.0 * _QUANTILE_TOL  # [i, j]: u[j] is resolvably above u[i]
+    for cdf in (position_cdf(params, t), momentum_cdf(params)):
+        q = cdf.quantile(u)
+        assert np.all(np.isfinite(q))
+        assert np.all((q[None, :] >= q[:, None]) | ~resolved)
 
 
 @pytest.mark.parametrize("kw", [{"x_half": -1.0}, {"sigma": 0.0}, {"mass": 0.0}, {"mass": -1.0}])
