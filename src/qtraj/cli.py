@@ -428,18 +428,20 @@ def _interior_points(
     n: int,
     t_final: float,
     band: float,
+    h_x: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random (x, t) with rho above ``band`` times the fringe-free envelope
-    and above the node floor, where the guidance fields are defined."""
+    """Random (x, t) with rho above ``band`` times the fringe-free envelope,
+    and above the node floor at x and x +- h_x, where the checks' central
+    differences evaluate the guidance fields."""
     xs = np.empty(0)
     ts = np.empty(0)
     while xs.size < n:
         t = rng.uniform(0.0, t_final, size=2 * n)
         hw = params.x_half + 3.0 * np.asarray(sigma_t(params, t))
         x = rng.uniform(-1.0, 1.0, size=2 * n) * hw
-        density = np.asarray(rho(x, t, params))
-        keep = (density >= band * np.asarray(envelope_density(x, t, params))) & (density > node_floor(params, t))
+        stencil = np.min([rho(x + step, t, params) for step in (-h_x, 0.0, h_x)], axis=0)
+        keep = (rho(x, t, params) >= band * envelope_density(x, t, params)) & (stencil > node_floor(params, t))
         xs = np.concatenate([xs, x[keep]])
         ts = np.concatenate([ts, t[keep]])
     return xs[:n], ts[:n]
@@ -466,20 +468,20 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
 
     h_x = _VERIFY_H_X_FRACTION * params.sigma
     h_t = _VERIFY_H_T_FRACTION * params.dispersion_time
-    x, t = _interior_points(params, 10_000, t_final, _SCHRODINGER_BAND, rng)
+    x, t = _interior_points(params, 10_000, t_final, _SCHRODINGER_BAND, h_x, rng)
     residual = np.abs(schrodinger_residual(x, t, params, h_x, h_t))
     peak = float(residual.max())
     checks.append(
         ("schrodinger_residual", peak < _SCHRODINGER_TOL, f"max normalized residual = {peak:.3e} at 10^4 points")
     )
 
-    x, t = _interior_points(params, 10_000, t_final, _CONTINUITY_BAND, rng)
+    x, t = _interior_points(params, 10_000, t_final, _CONTINUITY_BAND, h_x, rng)
     bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
     resid = np.abs(continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_bb(xx, tt, params)))
     ratio = float((resid / bound).max())
     checks.append(("continuity_dbb", ratio < 1.0, f"max residual/(10 x budget) = {ratio:.3e}"))
 
-    x, t = _interior_points(params, 500, t_final, _CONTINUITY_BAND, rng)
+    x, t = _interior_points(params, 500, t_final, _CONTINUITY_BAND, h_x, rng)
     bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
     x0s = sample_positions(20, SeededStream(seed, 0), params, 0.0)
     ics = InitialCondition(x0s, sample_momenta(20, SeededStream(seed, 1), params), 0.0, "revised")

@@ -207,8 +207,9 @@ def integrate_batch(
     shares; no step loop runs, so RK4's step control plays no part.  At each
     record the target u = F_0(x0) + (delta_p / m) * integral of rho(x0, s)
     is advanced by an 8-point Gauss-Legendre rule over the record interval,
-    and x is the inverse of the closed-form mass coordinate at u.  A lane
-    whose u leaves (0, 1) has escaped to infinity and stops at its last
+    whose 8 nodes are evaluated in one broadcast call and summed in node
+    order, and x is the inverse of the closed-form mass coordinate at u.
+    A lane whose u leaves (0, 1) has escaped to infinity and stops at its last
     record in range, marked ``node_stalled``; so does a lane whose inverse
     does not converge or whose x sits below the node floor, where no
     momentum is defined.  Momenta are the guidance field at the exact x.
@@ -233,9 +234,8 @@ def integrate_batch(
         if drift is not None:
             half = 0.5 * (t_hi - t_lo)
             anchors = x0[lanes]
-            piece = np.zeros(lanes.size)
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                piece += weight * rho(anchors, t_lo + half * (node + 1.0), params)
+            densities = rho(anchors, t_lo + half * (_GL_NODES[:, None] + 1.0), params)  # (8, lanes)
+            piece = sum(weight * row for weight, row in zip(_GL_WEIGHTS, densities))  # in node order
             swept[lanes] += half * piece
             u = u + drift[lanes] * swept[lanes]
         x = position_cdf(params, t_hi).quantile(u)

@@ -476,6 +476,20 @@ def test_run_and_compare_end_in_an_exit_code(command, n, theory, ratio, sigma, m
     assert rc in (0, 1, 2)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(ratio=st.floats(0.0, 50.0), sigma=st.floats(0.1, 100.0), mass=st.floats(0.01, 20.0))
+def test_verify_ends_in_an_exit_code(ratio, sigma, mass):
+    """Across the same X/sigma, sigma and mass, verify ends in exit code 0, 1
+    or 2 and never raises; a check that fails is exit 1 (schrodinger_residual
+    at sigma = 0.1, for one).  At X = 82.5 nm, sigma = 10 nm a continuity
+    point whose x +- h_x fell below the node floor raised NodeSingularity."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp), x_half_nm=repr(ratio * sigma), sigma_nm=repr(sigma), mass_me=repr(mass))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main(["verify", "--config", str(cfg)])
+    assert rc in (0, 1, 2)
+
+
 @pytest.mark.parametrize(
     "command,name,what", [("run", "manifest.txt", "manifest"), ("compare", "compare.txt", "compare table")]
 )

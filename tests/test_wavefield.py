@@ -5,6 +5,9 @@ Reference values below were computed independently with 40-digit arithmetic
 regression oracles.
 """
 
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +124,85 @@ def test_envelope_bounds_rho(params, rng):
     x = rng.uniform(-300.0, 300.0, 2000)
     t = rng.uniform(0.0, 5.0, 2000)
     assert np.all(rho(x, t, params) <= envelope_density(x, t, params) * (1 + 1e-12))
+
+
+#: (physics, bound): largest relative error of rho against a 50-digit |psi|^2.
+#: At sigma = 0.1 the fringe phase reaches hundreds of radians by 5 ps, and
+#: its rounding (a few ulp of phi) sets the bound.
+_REFERENCE_PHYSICS = {
+    "paper": (DoubleSlitParams(50.0, 10.0), 1e-12),
+    "sigma 0.1": (DoubleSlitParams(50.0, 0.1), 5e-11),
+    "X 500 sigma 5": (DoubleSlitParams(500.0, 5.0), 1e-12),
+    "m 0.01": (DoubleSlitParams(50.0, 10.0, 0.01), 1e-12),
+}
+
+
+def _reference_psi_squared(x: float, t: float, params) -> float:
+    """|psi(x, t)|^2 from the complex closed form at 50 digits, for the exact doubles given."""
+    with mpmath.workdps(50):
+        physics = (HBAR_NM2_ME_PS, params.sigma, params.x_half, params.mass)
+        hbar, sigma, x_half, mass = (mpmath.mpf(v) for v in physics)
+        x, t = mpmath.mpf(x), mpmath.mpf(t)
+        denom = 4 * sigma**2 + 2j * hbar * t / mass
+        prefactor = (2 * mpmath.pi) ** mpmath.mpf(-0.25) / mpmath.sqrt(sigma + 1j * hbar * t / (2 * mass * sigma))
+        amp = prefactor * (mpmath.exp(-((x + x_half) ** 2) / denom) + mpmath.exp(-((x - x_half) ** 2) / denom))
+        return float(abs(amp) ** 2 / (2 + 2 * mpmath.exp(-(x_half**2) / (2 * sigma**2))))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sample(name: str):
+    """Points (x, t) at t in {0, tau, 3.5 ps, 5 ps}, random over +-(X + 4 sigma_t)
+    plus fringe minima (cos(phi / 2) = 0), where the 50-digit density is a
+    normal double; with that density."""
+    params, _ = _REFERENCE_PHYSICS[name]
+    rng = np.random.default_rng(2024)
+    xs, ts = [], []
+    for t in (0.0, params.dispersion_time, 3.5, 5.0):
+        width = float(sigma_t(params, t))
+        reach = params.x_half + 4.0 * width
+        x = rng.uniform(-reach, reach, 200)
+        wave = params.x_half * HBAR_NM2_ME_PS * t / (4.0 * params.mass * params.sigma**2 * width**2)
+        if wave > 0.0:  # phi / 2 = x * wave
+            minima = (0.5 + np.arange(-400, 400)) * np.pi / wave
+            minima = minima[np.abs(minima) < reach]
+            x = np.concatenate([x, minima[:: max(1, minima.size // 60)]])
+        xs.append(x)
+        ts.append(np.full(x.size, t))
+    x, t = np.concatenate(xs), np.concatenate(ts)
+    reference = np.array([_reference_psi_squared(xi, ti, params) for xi, ti in zip(x, t)])
+    normal = reference >= np.finfo(float).tiny
+    return params, x[normal], t[normal], reference[normal]
+
+
+def _worst_relative_error(name: str, density) -> float:
+    params, x, t, reference = _reference_sample(name)
+    return float(np.max(np.abs(density(x, t, params) - reference) / reference))
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
+def test_rho_matches_high_precision_reference(name):
+    """The real form of rho agrees with a 50-digit |psi|^2, fringe minima included."""
+    assert _reference_sample(name)[1].size > 200
+    assert _worst_relative_error(name, rho) <= _REFERENCE_PHYSICS[name][1]
+
+
+def test_complex_modulus_fails_the_reference_at_narrow_slits():
+    """Negative control: |psi|^2 from complex packet amplitudes loses digits
+    in its fringe phase at sigma = 0.1, beyond the bound the real form meets."""
+    complex_rho = lambda x, t, params: np.abs(psi(x, t, params)) ** 2  # noqa: E731
+    assert _worst_relative_error("sigma 0.1", complex_rho) > _REFERENCE_PHYSICS["sigma 0.1"][1]
+
+
+def test_rho_shapes_and_broadcast_bits(params):
+    """Scalars give a scalar, and one (8, 1) x (1, n) call equals its 8 rows,
+    each a call of its own, bit for bit."""
+    rng = np.random.default_rng(8)
+    assert np.ndim(rho(0.3, 1.2, params)) == 0 and isinstance(rho(0.3, 1.2, params), float)
+    assert isinstance(envelope_density(0.3, 1.2, params), float)
+    x = rng.uniform(-150.0, 150.0, 1001)
+    t = rng.uniform(0.0, 5.0, (8, 1))
+    rows = np.stack([rho(x, tk, params) for tk in t[:, 0]])
+    np.testing.assert_array_equal(rho(x[None, :], t, params), rows)
 
 
 def test_rho_peak_bound_dominates_grid(params):
