@@ -154,6 +154,9 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     for key, value in raw.items():
         if not value.isascii():  # the manifest echoes every value, and each output file is ASCII
             raise ConfigError(key, f"must be ASCII text, got {ascii(value)}")
+    out_dir = raw["out_dir"]
+    if not out_dir.isprintable() or out_dir != out_dir.strip():  # else its manifest line would not re-parse
+        raise ConfigError("out_dir", f"must be printable ASCII text with no blank at either end, got {out_dir!r}")
 
     x_half = _parse_float(raw, "x_half_nm")
     if x_half < 0:
@@ -222,7 +225,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
         )
     except ValueError as exc:
         raise ConfigError("slices_ps", str(exc)) from exc
-    return RunSetup(params=params, config=config, out_dir=Path(raw["out_dir"]), raw=raw)
+    return RunSetup(params=params, config=config, out_dir=Path(out_dir), raw=raw)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ and ``+x_half`` ("right"), are superposed and normalized once.  Everything
 derived from them -- position and momentum densities and CDFs, the Bohm
 phase-gradient momentum field, and the density-anchored revision of that
 field -- is evaluated analytically; spatial derivatives use the closed
-form, never finite differences.  The density, the innermost kernel of the
-revised transport, the quantiles and the guidance fields, is computed in
-real arithmetic from the packet moduli and the fringe phase, as a sum of
-two non-negative terms; only ``psi`` and the instruments that need its
-phase use complex amplitudes.
+form, never finite differences.  The density and the Bohm field are
+computed in real arithmetic from one set of terms, the packet moduli and
+the fringe phase (:func:`_density_terms`): the density as a sum of two
+non-negative terms, and the Bohm field as a ratio over that same sum, so
+one :class:`GuidanceField` evaluation gives the density, its node-floor
+mask and both guidance laws.  Complex arithmetic remains only in ``psi``
+(with ``packet_amplitude`` and the Schrodinger residual) and in the
+Faddeeva cross terms of the two CDFs.
 
 Finite-difference residual instruments (free Schrodinger equation,
 continuity equation) live here too, but they are verification tools only.
@@ -158,14 +161,16 @@ def psi(x, t, params: DoubleSlitParams):
 
 
 def _density_terms(x, t, params: DoubleSlitParams):
-    """Real terms of the density: a, b, cos(phi / 2) and sqrt(2 pi) sigma_t N.
+    """Real terms of the density: a, b, phi / 2, T and sqrt(2 pi) sigma_t N.
 
     a = exp(-(x - x_half)^2 / (4 sigma_t^2)) and b = exp(-(x + x_half)^2 /
-    (4 sigma_t^2)) are the packet moduli over their common factor, and phi
-    = x x_half hbar t / (2 m sigma^2 sigma_t^2) is the phase of conj(psi_l)
-    psi_r; cos is even, so the sign of t drops out.  Every per-time factor
-    is formed before the per-point work, and sigma_t is never squared, so
-    nothing overflows.
+    (4 sigma_t^2)) are the packet moduli over their common factor, phi
+    = x x_half hbar |t| / (2 m sigma^2 sigma_t^2) is the fringe phase (that
+    of conj(psi_r) psi_l for t >= 0), and T = (a - b)^2 + 4 a b
+    cos^2(phi / 2) = a^2 + b^2 + 2 a b cos phi is |psi|^2 over the squared
+    common factor.  Both terms of T are non-negative, so a fringe minimum
+    loses no digits to cancellation.  Every per-time factor is formed before
+    the per-point work, and sigma_t is never squared, so nothing overflows.
     """
     x = np.asarray(x, dtype=float)
     width = sigma_t(params, t)
@@ -174,26 +179,25 @@ def _density_terms(x, t, params: DoubleSlitParams):
     with np.errstate(under="ignore"):
         a = np.exp(-np.square((x - params.x_half) * scale))
         b = np.exp(-np.square((x + params.x_half) * scale))
-    return a, b, np.cos(x * wave), np.sqrt(2.0 * np.pi) * norm_constant(params) * width
+    half = x * wave
+    total = np.square(a - b) + 4.0 * a * b * np.square(np.cos(half))
+    return a, b, half, total, np.sqrt(2.0 * np.pi) * norm_constant(params) * width
 
 
 def rho(x, t, params: DoubleSlitParams):
     """Position probability density |psi(x, t)|^2, in real arithmetic.
 
     rho = [(a - b)^2 + 4 a b cos^2(phi / 2)] / (sqrt(2 pi) sigma_t N), with
-    the terms of :func:`_density_terms`.  This equals (a^2 + b^2 + 2 a b
-    cos phi) / (...), but both of its terms are non-negative, so a fringe
-    minimum loses no digits to cancellation.
+    the terms of :func:`_density_terms`.
     """
-    a, b, half, denom = _density_terms(x, t, params)
-    value = (np.square(a - b) + 4.0 * a * b * np.square(half)) / denom
-    return _scalar_like(value, x, t)
+    _, _, _, total, denom = _density_terms(x, t, params)
+    return _scalar_like(total / denom, x, t)
 
 
 def envelope_density(x, t, params: DoubleSlitParams):
     """Fringe-free upper envelope (|psi_l| + |psi_r|)^2 / N = (a + b)^2 /
     (sqrt(2 pi) sigma_t N) of the density; it bounds :func:`rho` term by term."""
-    a, b, _, denom = _density_terms(x, t, params)
+    a, b, _, _, denom = _density_terms(x, t, params)
     return _scalar_like(np.square(a + b) / denom, x, t)
 
 
@@ -371,42 +375,6 @@ def _shared_position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
     return ClosedFormCDF(cdf, pdf, params.x_half, float(sigma_t(params, t)))
 
 
-def _derivative_ratio(x, t, params: DoubleSlitParams):
-    """(d psi / dx) / psi, evaluated in an overflow-safe ratio form.
-
-    Writing psi_r / psi_l = exp(delta) with delta = 4 x x_half / D, the
-    ratio becomes a weighted average of the two packet log-slopes; the
-    larger packet is factored out so no exponential overflows.
-    """
-    x = np.asarray(x, dtype=float)
-    denom = _exp_denominator(params, t)
-    delta = 4.0 * x * params.x_half / denom
-    shift = np.maximum(np.real(delta), 0.0)
-    with np.errstate(under="ignore"):
-        w_left = np.exp(-shift)
-        w_right = np.exp(delta - shift)
-    num = (x + params.x_half) * w_left + (x - params.x_half) * w_right
-    den = w_left + w_right
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return (-2.0 / denom) * (num / den)
-
-
-def _guidance_raw(x, t, params: DoubleSlitParams, x0=None, delta_p=None):
-    """Guidance momentum and validity mask, without raising at nodes.
-
-    The Bohm field hbar * Im[(d psi / dx) / psi], plus, when ``delta_p``
-    is given, the revised correction ``delta_p * rho(x0, t) / rho(x, t)``.
-    """
-    density = rho(x, t, params)
-    valid = np.asarray(density > node_floor(params, t)) & np.isfinite(density)
-    value = HBAR_NM2_ME_PS * np.imag(_derivative_ratio(x, t, params))
-    if delta_p is not None:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            value = value + delta_p * (rho(x0, t, params) / density)
-        valid = valid & np.isfinite(np.asarray(value))
-    return value, valid
-
-
 class GuidanceField:
     """Momentum field of one guidance law for a set of anchored trajectories.
 
@@ -425,16 +393,42 @@ class GuidanceField:
         self.x0 = self.delta_p = None
         if theory == "revised":
             self.x0 = np.array(x0, dtype=float)
-            base, valid = _guidance_raw(self.x0, t0, params)
+            base, valid = self(self.x0, t0)  # delta_p is still None: the Bohm field
             if not np.all(valid):
                 raise NodeSingularity("initial condition sits below the node floor")
             self.delta_p = np.asarray(p0 - base, dtype=float)
 
     def __call__(self, x, t, lanes=...):
-        """Momentum and validity at (x, t); ``lanes`` selects the anchors of each point."""
-        if self.delta_p is None:
-            return _guidance_raw(x, t, self.params)
-        return _guidance_raw(x, t, self.params, self.x0[lanes], self.delta_p[lanes])
+        """Momentum and validity at (x, t); ``lanes`` selects the anchors of each point.
+
+        Points where rho is below the node floor (or not finite) are marked
+        invalid instead of raising.  The Bohm field hbar Im[(d psi / dx) /
+        psi] comes from the terms of :func:`_density_terms`, in real
+        arithmetic:
+
+            p_bb = kappa (x + x_half (b - a)(b + a) / T)
+                   - (hbar x_half / sigma_t^2) a b sin(phi) / T,
+
+        with kappa = hbar^2 t / (4 m sigma^2 sigma_t^2).  Both terms carry
+        the sign of t; the terms' phi uses |t|, so the sign goes into the two
+        per-time coefficients.  The revised law adds ``delta_p * rho(x0, t) /
+        rho(x, t)``, where rho(x, t) is the density of the same evaluation.
+        """
+        params = self.params
+        x = np.asarray(x, dtype=float)
+        a, b, half, total, denom = _density_terms(x, t, params)
+        density = total / denom
+        valid = np.asarray(density > node_floor(params, t)) & np.isfinite(density)
+        width = sigma_t(params, t)
+        sign = np.sign(t)
+        kappa = sign * (spread(params, t) / width) * (HBAR_NM2_ME_PS / (2.0 * params.sigma * width))
+        fringe = sign * (HBAR_NM2_ME_PS * params.x_half / width) / width
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            value = kappa * (x + params.x_half * (b - a) * (b + a) / total) - fringe * a * b * np.sin(2.0 * half) / total
+            if self.delta_p is not None:
+                value = value + self.delta_p[lanes] * (rho(self.x0[lanes], t, params) / density)
+                valid = valid & np.isfinite(value)
+        return value, valid
 
 
 def _checked(law: str, value, valid, x, t):
@@ -452,7 +446,7 @@ def p_bb(x, t, params: DoubleSlitParams):
     Raises :class:`NodeSingularity` wherever the density is below the node
     floor, since the phase gradient is not meaningful there.
     """
-    return _checked("Bohm", *_guidance_raw(x, t, params), x, t)
+    return _checked("Bohm", *GuidanceField("dbb", params)(x, t), x, t)
 
 
 def p_revised(x, t, ic, params: DoubleSlitParams):
@@ -568,11 +562,11 @@ def continuity_truncation_bound(x, t, params: DoubleSlitParams, h_x: float, h_t:
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     hbar, mass = HBAR_NM2_ME_PS, params.mass
-    denom = _exp_denominator(params, t)
     width = sigma_t(params, t)
 
-    k_packet = 2.0 * (np.abs(x) + params.x_half) / np.abs(denom)
-    k_fringe = 8.0 * params.x_half * hbar * np.abs(t) / (mass * np.abs(denom) ** 2)
+    # |4 sigma^2 + 2i hbar t / m| = 4 sigma sigma_t
+    k_packet = (np.abs(x) + params.x_half) / (2.0 * params.sigma * width)
+    k_fringe = params.x_half * spread(params, t) / (params.sigma * width) / width
     k = k_packet + k_fringe + 1.0 / width
     omega = hbar * k ** 2 / mass
 

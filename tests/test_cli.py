@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qtraj import DoubleSlitParams, EnsembleResult, default_config, default_histogram_specs, p_bb, rho, run_ensemble
@@ -108,12 +108,22 @@ def test_invalid_values_rejected(tmp_path, key, value):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("route", ["config", "flag"])
-def test_non_ascii_out_dir_rejected(tmp_path, capsys, route):
-    """The manifest echoes out_dir into an ASCII file, so a non-ASCII
-    out_dir is a config error, exit 2, before anything is written: from the
-    config file and from --out alike."""
-    out, ascii_out = tmp_path / "out\u00e9", tmp_path / "o"
+@pytest.mark.parametrize(
+    "route,name,reason",
+    [
+        ("config", "out\u00e9", "must be ASCII text"),
+        ("flag", "out\u00e9", "must be ASCII text"),
+        ("config", "a\x00b", "must be printable ASCII text"),
+        ("flag", "nl\nout", "must be printable ASCII text"),
+    ],
+    ids=["config", "flag", "config-nul", "flag-newline"],
+)
+def test_non_ascii_out_dir_rejected(tmp_path, capsys, route, name, reason):
+    """The manifest echoes out_dir into an ASCII config line, so an out_dir
+    that is not printable ASCII is a config error, exit 2, before anything
+    is written: from the config file and from --out alike.  mkdir raises
+    ValueError on a NUL, and a newline would split the manifest line."""
+    out, ascii_out = tmp_path / name, tmp_path / "o"
     path = tmp_path / "run.cfg"
     path.write_text(f"out_dir = {out if route == 'config' else ascii_out}\n", encoding="utf-8")
     overrides = {"out_dir": str(out)} if route == "flag" else {}
@@ -122,8 +132,8 @@ def test_non_ascii_out_dir_rejected(tmp_path, capsys, route):
     assert exc.value.key == "out_dir"
     argv = ["run", "--config", str(path), "--n", "8", "--theory", "dbb"]
     assert main(argv + (["--out", str(out)] if route == "flag" else [])) == 2
-    assert "error: config key 'out_dir': must be ASCII text" in capsys.readouterr().err
-    assert not out.exists() and not ascii_out.exists()
+    assert f"error: config key 'out_dir': {reason}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -488,6 +498,33 @@ def test_verify_ends_in_an_exit_code(ratio, sigma, mass):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             rc = main(["verify", "--config", str(cfg)])
     assert rc in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.text(st.characters(codec="ascii", exclude_characters="/"), min_size=1, max_size=12).filter(
+        lambda text: text not in (".", "..")
+    ),
+    n=st.integers(1, 4),
+)
+@example(name="blank ", n=1).via("re-parsing strips a trailing blank")
+@example(name="#x = y", n=1)
+def test_run_ends_in_an_exit_code_for_any_ascii_out_dir(name, n):
+    """Over out_dir names drawn from all of ASCII ('/' excluded and '.' and
+    '..' filtered out, so every run writes inside its own temporary
+    directory), run ends in exit code 0, 1 or 2; on exit 0 the manifest
+    re-parses to the same config, and on exit 2 nothing was written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / name)
+        overrides = {"n_traj": str(n), "theory": "dbb", "out_dir": out}
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main(["run", "--n", str(n), "--theory", "dbb", "--out", out])
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            echoed = parse_config(Path(out) / "manifest.txt")
+            assert echoed.raw == parse_config(None, overrides).raw
+        if rc == 2:
+            assert os.listdir(tmp) == []
 
 
 @pytest.mark.parametrize(

@@ -126,9 +126,10 @@ def test_envelope_bounds_rho(params, rng):
     assert np.all(rho(x, t, params) <= envelope_density(x, t, params) * (1 + 1e-12))
 
 
-#: (physics, bound): largest relative error of rho against a 50-digit |psi|^2.
-#: At sigma = 0.1 the fringe phase reaches hundreds of radians by 5 ps, and
-#: its rounding (a few ulp of phi) sets the bound.
+#: (physics, bound): largest relative error of rho against a 50-digit |psi|^2,
+#: and of p_bb against a 50-digit hbar Im(psi'/psi) relative to max(|p_bb|,
+#: sigma_p).  At sigma = 0.1 the fringe phase reaches hundreds of radians by
+#: 5 ps, and its rounding (a few ulp of phi) sets the bound.
 _REFERENCE_PHYSICS = {
     "paper": (DoubleSlitParams(50.0, 10.0), 1e-12),
     "sigma 0.1": (DoubleSlitParams(50.0, 0.1), 5e-11),
@@ -300,6 +301,31 @@ def test_p_bb_matches_phase_gradient(params, rng):
     # h is far below the fringe scale, so no phase wrapping occurs in-band
     ref = HBAR_NM2_ME_PS * dphase / (2.0 * h)
     np.testing.assert_allclose(p_bb(x, t, params), ref, rtol=1e-6, atol=1e-6)
+
+
+def _reference_bohm_momentum(x: float, t: float, params) -> float:
+    """hbar Im[(d psi / dx) / psi] from the complex closed form at 50 digits, for the exact doubles given."""
+    with mpmath.workdps(50):
+        physics = (HBAR_NM2_ME_PS, params.sigma, params.x_half, params.mass)
+        hbar, sigma, x_half, mass = (mpmath.mpf(v) for v in physics)
+        x, t = mpmath.mpf(x), mpmath.mpf(t)
+        denom = 4 * sigma**2 + 2j * hbar * t / mass
+        left, right = mpmath.exp(-((x + x_half) ** 2) / denom), mpmath.exp(-((x - x_half) ** 2) / denom)
+        slope = -2 * ((x + x_half) * left + (x - x_half) * right) / denom
+        return float(hbar * mpmath.im(slope / (left + right)))
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
+def test_p_bb_matches_high_precision_reference(name):
+    """The real form of the Bohm field agrees with a 50-digit hbar Im(psi'/psi)
+    wherever it is defined, fringe minima included, relative to max(|p_bb|, sigma_p)."""
+    params, x, t, _ = _reference_sample(name)
+    above = rho(x, t, params) > node_floor(params, t)
+    x, t = x[above], t[above]
+    assert x.size > 200
+    reference = np.array([_reference_bohm_momentum(xi, ti, params) for xi, ti in zip(x, t)])
+    error = np.abs(p_bb(x, t, params) - reference) / np.maximum(np.abs(reference), params.sigma_p)
+    assert np.max(error) <= _REFERENCE_PHYSICS[name][1]
 
 
 def test_p_bb_raises_below_node_floor(params):
