@@ -460,12 +460,14 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
     worst = 0.0
     for t in (0.0, 1.0, 3.5, t_final):
         hw = params.x_half + 12.0 * float(sigma_t(params, t))  # misses < 1e-32 of the mass
-        total, _ = quad(lambda x: float(rho(x, t, params)), -hw, hw, limit=300)
+        limit = max(300, int(np.ceil(8.0 * hw * position_cdf(params, t).wave / np.pi)))  # 4 per fringe
+        total, _ = quad(lambda x: float(rho(x, t, params)), -hw, hw, limit=limit)
         worst = max(worst, abs(total - 1.0))
     checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{0, 1, 3.5, {t_final:g}}}"))
 
     p_hw = 10.0 * params.sigma_p
-    total, _ = quad(lambda p: float(momentum_density(p, params)), -p_hw, p_hw, limit=300)
+    limit = max(300, int(np.ceil(8.0 * p_hw * momentum_cdf(params).wave / np.pi)))
+    total, _ = quad(lambda p: float(momentum_density(p, params)), -p_hw, p_hw, limit=limit)
     err = abs(total - 1.0)
     checks.append(("momentum_norm", err < 1e-6, f"|integral - 1| = {err:.3e}"))
 

@@ -5,14 +5,15 @@ and ``+x_half`` ("right"), are superposed and normalized once.  Everything
 derived from them -- position and momentum densities and CDFs, the Bohm
 phase-gradient momentum field, and the density-anchored revision of that
 field -- is evaluated analytically; spatial derivatives use the closed
-form, never finite differences.  The density and the Bohm field are
-computed in real arithmetic from one set of terms, the packet moduli and
-the fringe phase (:func:`_density_terms`): the density as a sum of two
-non-negative terms, and the Bohm field as a ratio over that same sum, so
-one :class:`GuidanceField` evaluation gives the density, its node-floor
-mask and both guidance laws.  Complex arithmetic remains only in ``psi``
-(with ``packet_amplitude`` and the Schrodinger residual) and in the
-Faddeeva cross terms of the two CDFs.
+form, never finite differences.  Both densities are one two-packet law
+(center, width, fringe half-wavenumber, N): position at time t is
+(x_half, sigma_t, x_half spread(t) / (2 sigma sigma_t^2), N), and momentum
+is its far-field limit (0, sigma_p, x_half / hbar, N).  Every density goes
+through one real kernel (:func:`_density_terms`) and every CDF through one
+Faddeeva kernel (:func:`_cumulative`); one :class:`GuidanceField`
+evaluation gives the density, its node-floor mask and both guidance laws.
+Complex arithmetic remains only in ``psi``, ``packet_amplitude`` and the
+Schrodinger residual, and in the CDF kernel's Faddeeva term.
 
 Finite-difference residual instruments (free Schrodinger equation,
 continuity equation) live here too, but they are verification tools only.
@@ -24,8 +25,7 @@ All operations accept scalars or numpy arrays (broadcast) for ``x``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import ndtr, wofz
@@ -45,7 +45,7 @@ NODE_FLOOR_RELATIVE = 1e-12
 
 _QUARTIC_ROOT_2PI = (2.0 * np.pi) ** 0.25
 
-#: Nodes of the table that seeds a quantile, spread over +-(offset + 12 width):
+#: Nodes of the table that seeds a quantile, spread over +-(center + 12 width):
 #: 12 sigma_t beyond the slits for positions, 12 sigma_p for momenta.
 _QUANTILE_TABLE_POINTS = 2049
 _QUANTILE_TABLE_HALF_WIDTHS = 12.0
@@ -160,45 +160,63 @@ def psi(x, t, params: DoubleSlitParams):
     return _scalar_like(value, x, t)
 
 
-def _density_terms(x, t, params: DoubleSlitParams):
-    """Real terms of the density: a, b, phi / 2, T and sqrt(2 pi) sigma_t N.
+def _position_law(params: DoubleSlitParams, t):
+    """The density at time t as a two-packet law (center, width, wave, N):
+    (x_half, sigma_t, x_half spread(t) / (2 sigma sigma_t^2), N)."""
+    width = sigma_t(params, t)
+    wave = params.x_half * spread(params, t) / (2.0 * params.sigma * width) / width
+    return params.x_half, width, wave, norm_constant(params)
 
-    a = exp(-(x - x_half)^2 / (4 sigma_t^2)) and b = exp(-(x + x_half)^2 /
-    (4 sigma_t^2)) are the packet moduli over their common factor, phi
-    = x x_half hbar |t| / (2 m sigma^2 sigma_t^2) is the fringe phase (that
-    of conj(psi_r) psi_l for t >= 0), and T = (a - b)^2 + 4 a b
-    cos^2(phi / 2) = a^2 + b^2 + 2 a b cos phi is |psi|^2 over the squared
-    common factor.  Both terms of T are non-negative, so a fringe minimum
-    loses no digits to cancellation.  Every per-time factor is formed before
-    the per-point work, and sigma_t is never squared, so nothing overflows.
+
+def _momentum_law(params: DoubleSlitParams):
+    """The momentum density as a two-packet law: (0, sigma_p, x_half / hbar, N),
+    the far-field position law, rho(x, t) -> (m / t) |psi~(m x / t)|^2."""
+    return 0.0, params.sigma_p, params.x_half / HBAR_NM2_ME_PS, norm_constant(params)
+
+
+def _density_terms(x, center, width, wave, norm):
+    """Real terms of a two-packet law's density: a, b, wave x, T and sqrt(2 pi) width N.
+
+    a = exp(-(x - center)^2 / (4 width^2)) and b = exp(-(x + center)^2 /
+    (4 width^2)) are the packet moduli over their common factor, wave x is
+    half the fringe phase phi (for the position law, phi is that of
+    conj(psi_r) psi_l for t >= 0), and T = (a - b)^2 + 4 a b cos^2(phi / 2)
+    = a^2 + b^2 + 2 a b cos phi is the density times sqrt(2 pi) width N.
+    Both terms of T are non-negative, so a fringe minimum loses no digits to
+    cancellation.  The width is never squared, so nothing overflows.
     """
     x = np.asarray(x, dtype=float)
-    width = sigma_t(params, t)
     scale = 0.5 / width
-    wave = params.x_half * spread(params, t) / (2.0 * params.sigma * width) / width
     with np.errstate(under="ignore"):
-        a = np.exp(-np.square((x - params.x_half) * scale))
-        b = np.exp(-np.square((x + params.x_half) * scale))
+        a = np.exp(-np.square((x - center) * scale))
+        b = np.exp(-np.square((x + center) * scale))
     half = x * wave
     total = np.square(a - b) + 4.0 * a * b * np.square(np.cos(half))
-    return a, b, half, total, np.sqrt(2.0 * np.pi) * norm_constant(params) * width
+    return a, b, half, total, np.sqrt(2.0 * np.pi) * norm * width
 
 
 def rho(x, t, params: DoubleSlitParams):
     """Position probability density |psi(x, t)|^2, in real arithmetic.
 
     rho = [(a - b)^2 + 4 a b cos^2(phi / 2)] / (sqrt(2 pi) sigma_t N), with
-    the terms of :func:`_density_terms`.
+    the terms of :func:`_density_terms` for the position law at t.
     """
-    _, _, _, total, denom = _density_terms(x, t, params)
+    _, _, _, total, denom = _density_terms(x, *_position_law(params, t))
     return _scalar_like(total / denom, x, t)
 
 
 def envelope_density(x, t, params: DoubleSlitParams):
     """Fringe-free upper envelope (|psi_l| + |psi_r|)^2 / N = (a + b)^2 /
     (sqrt(2 pi) sigma_t N) of the density; it bounds :func:`rho` term by term."""
-    a, b, _, _, denom = _density_terms(x, t, params)
+    a, b, _, _, denom = _density_terms(x, *_position_law(params, t))
     return _scalar_like(np.square(a + b) / denom, x, t)
+
+
+def momentum_density(p, params: DoubleSlitParams):
+    """Momentum probability density |psi~(p)|^2, time independent: Gaussian
+    envelope times cos^2(x_half p / hbar), the density of the momentum law."""
+    _, _, _, total, denom = _density_terms(p, *_momentum_law(params))
+    return _scalar_like(total / denom, p)
 
 
 def rho_peak_bound(params: DoubleSlitParams, t):
@@ -226,59 +244,70 @@ def _flush_tail(lower):
     return np.where(lower < _TINY, 0.0, lower)
 
 
-def mass_coordinate(x, t, params: DoubleSlitParams):
-    """Position CDF F_t(x), the integral of rho(x', t) over x' < x, in closed form.
+def _cumulative(x, center, width, wave, norm):
+    """CDF of a two-packet law (see :func:`_density_terms`) at x, in closed form.
 
-    Each packet contributes a Gaussian CDF of width sigma_t; the cross term
-    2 Re conj(psi_l) psi_r integrates to a complex erfc, whose large
+    In the scaled variables q = x / width, g = center / width and k = wave
+    width, each packet contributes a Gaussian CDF, ndtr((x -+ center) /
+    width) (formed before the division, so no digits cancel), and the
+    interference term 2 a b cos(2 wave x) integrates to a complex erfc,
+    exp(-(q^2 + g^2) / 2) Re[exp(2ikq) w(-(2k + iq) / sqrt 2)], whose large
     exponential prefactor is folded into the Faddeeva function w(z) =
-    exp(-z^2) erfc(-iz), so nothing overflows at any X / sigma.  The state
-    is mirror symmetric, so only x <= 0 is evaluated and F_t(x) =
-    1 - F_t(-x) gives the rest; there the Faddeeva argument lies in the
-    upper half plane, where |w| <= 1.  ``t`` must be a scalar or broadcast
-    with ``x``.  The value always lies in [0, 1] (see :func:`_flush_tail`).
+    exp(-z^2) erfc(-iz).  So nothing overflows at any center / width, and no
+    width^2 is formed.  The law is mirror symmetric, so only x <= 0 is
+    evaluated and F(x) = 1 - F(-x) gives the rest; there the Faddeeva
+    argument lies in the upper half plane, where |w| <= 1.  The value always
+    lies in [0, 1] (see :func:`_flush_tail`).
     """
     x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
     left = -np.abs(x)
-    width = sigma_t(params, t)
-    x_half = params.x_half
-    direct = ndtr((left + x_half) / width) + ndtr((left - x_half) / width)
-    # conj(psi_l) psi_r ~ exp(-alpha (x + x_half beta / alpha)^2 + shift), a = 1/D,
-    # alpha = 2 Re a = 1 / (2 sigma_t^2), beta = conj(a) - a; exp(shift) erfc(z)
-    # with z = -sqrt(alpha) (x + x_half beta / alpha) equals exp(shift - z^2) w(iz).
-    a = 1.0 / _exp_denominator(params, t)
-    alpha = 2.0 * np.real(a)
-    beta = np.conj(a) - a
-    z = -np.sqrt(alpha) * (left + x_half * beta / alpha)
+    q, g, k = left / width, center / width, wave * width
     with np.errstate(under="ignore"):
-        cross = np.exp(-alpha * (left ** 2 + x_half ** 2) - 2.0 * left * x_half * beta) * wofz(1.0j * z)
-    lower = _flush_tail((direct + np.real(cross)) / norm_constant(params))
-    value = np.where(x > 0.0, 1.0 - lower, lower)
-    return _scalar_like(value, x, t)
+        fringe = np.real(np.exp(2.0j * k * q) * wofz(-(2.0 * k + 1.0j * q) / np.sqrt(2.0)))
+        cross = np.exp(-0.5 * (q * q + g * g)) * fringe
+    direct = ndtr((left - center) / width) + ndtr((left + center) / width)
+    lower = _flush_tail((direct + cross) / norm)
+    return np.where(x > 0.0, 1.0 - lower, lower)
+
+
+def mass_coordinate(x, t, params: DoubleSlitParams):
+    """Position CDF F_t(x), the integral of rho(x', t) over x' < x: the closed-form
+    CDF of the position law at t.  ``t`` must be a scalar or broadcast with ``x``."""
+    return _scalar_like(_cumulative(x, *_position_law(params, t)), x, t)
+
+
+def momentum_cumulative(p, params: DoubleSlitParams):
+    """Momentum CDF, the integral of the momentum density over p' < p: the
+    closed-form CDF of the momentum law."""
+    return _scalar_like(_cumulative(p, *_momentum_law(params)), p)
 
 
 @dataclass(frozen=True)
 class ClosedFormCDF:
-    """A closed-form CDF with its density; callable, with checked quantiles.
+    """The closed-form CDF of a two-packet law; callable, with its density and checked quantiles.
 
-    The density has Gaussian tails of standard deviation ``width`` beyond
-    +-``offset``.
-    """
+    Two Gaussians of standard deviation ``width`` at +-``center`` interfere
+    with fringes cos^2(wave x), over the squared norm ``norm`` (see
+    :func:`_density_terms`)."""
 
-    cdf: Callable[[np.ndarray], np.ndarray]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    offset: float
+    center: float
     width: float
+    wave: float
+    norm: float
 
     def __call__(self, x) -> np.ndarray:
-        return self.cdf(x)
+        return _cumulative(x, self.center, self.width, self.wave, self.norm)
+
+    def pdf(self, x) -> np.ndarray:
+        """The law's density at x."""
+        _, _, _, total, denom = _density_terms(x, self.center, self.width, self.wave, self.norm)
+        return total / denom
 
     @cached_property
     def _seed_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes, monotone F and density of the table that seeds :meth:`quantile`."""
-        half = self.offset + _QUANTILE_TABLE_HALF_WIDTHS * self.width
-        return _quantile_table(self.cdf, self.pdf, half)
+        half = self.center + _QUANTILE_TABLE_HALF_WIDTHS * self.width
+        return _quantile_table(self, self.pdf, half)
 
     def quantile(self, u) -> np.ndarray:
         """Points x with F(x) = u, shaped like u: -inf for u <= 0, +inf for
@@ -286,9 +315,9 @@ class ClosedFormCDF:
         met a nan F.
 
         A table of F and its density on ``_QUANTILE_TABLE_POINTS`` nodes
-        over +-(offset + 12 width) brackets each u and seeds it by monotone
+        over +-(center + 12 width) brackets each u and seeds it by monotone
         cubic Hermite interpolation of x(F); beyond the table the bracket
-        reaches +-(offset + 40 width), where F has underflowed to 0 or 1.
+        reaches +-(center + 40 width), where F has underflowed to 0 or 1.
         Newton steps x -= (F - u) / pdf then refine it inside the bracket,
         bisecting whenever a step would leave it, until an evaluation
         confirms |F(x) - u| <= ``_QUANTILE_TOL`` or the bracket spans
@@ -298,7 +327,7 @@ class ClosedFormCDF:
         """
         shape = np.shape(u)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        far = self.offset + 40.0 * self.width
+        far = self.center + 40.0 * self.width
         grid, table, slope = self._seed_table
 
         i = np.clip(np.searchsorted(table, u, side="right"), 0, grid.size)
@@ -330,7 +359,7 @@ class ClosedFormCDF:
             if lanes.size == 0:
                 break
             xa, ua, la, ha = x[lanes], u[lanes], lo[lanes], hi[lanes]
-            residual = self.cdf(xa) - ua
+            residual = self(xa) - ua
             hit = np.abs(residual) <= _QUANTILE_TOL
             undefined = np.isnan(residual)  # no bracket can close on it
             below = residual < 0.0
@@ -371,8 +400,12 @@ def position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
 
 @lru_cache(maxsize=_POSITION_CDF_CACHE)
 def _shared_position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
-    cdf, pdf = partial(mass_coordinate, t=t, params=params), partial(rho, t=t, params=params)
-    return ClosedFormCDF(cdf, pdf, params.x_half, float(sigma_t(params, t)))
+    return ClosedFormCDF(*map(float, _position_law(params, t)))
+
+
+def momentum_cdf(params: DoubleSlitParams) -> ClosedFormCDF:
+    """The momentum CDF (:func:`momentum_cumulative`), time independent: the momentum law."""
+    return ClosedFormCDF(*_momentum_law(params))
 
 
 class GuidanceField:
@@ -412,21 +445,24 @@ class GuidanceField:
         with kappa = hbar^2 t / (4 m sigma^2 sigma_t^2).  Both terms carry
         the sign of t; the terms' phi uses |t|, so the sign goes into the two
         per-time coefficients.  The revised law adds ``delta_p * rho(x0, t) /
-        rho(x, t)``, where rho(x, t) is the density of the same evaluation.
+        rho(x, t)``, both densities from the one position law at t.  The node
+        floor is :func:`node_floor`: :func:`rho_peak_bound` is 4 / denom.
         """
         params = self.params
         x = np.asarray(x, dtype=float)
-        a, b, half, total, denom = _density_terms(x, t, params)
+        law = _position_law(params, t)
+        a, b, half, total, denom = _density_terms(x, *law)
+        width = law[1]
         density = total / denom
-        valid = np.asarray(density > node_floor(params, t)) & np.isfinite(density)
-        width = sigma_t(params, t)
+        valid = np.asarray(density > NODE_FLOOR_RELATIVE * (4.0 / denom)) & np.isfinite(density)
         sign = np.sign(t)
         kappa = sign * (spread(params, t) / width) * (HBAR_NM2_ME_PS / (2.0 * params.sigma * width))
         fringe = sign * (HBAR_NM2_ME_PS * params.x_half / width) / width
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             value = kappa * (x + params.x_half * (b - a) * (b + a) / total) - fringe * a * b * np.sin(2.0 * half) / total
             if self.delta_p is not None:
-                value = value + self.delta_p[lanes] * (rho(self.x0[lanes], t, params) / density)
+                anchored = _density_terms(self.x0[lanes], *law)[3]
+                value = value + self.delta_p[lanes] * ((anchored / denom) / density)
                 valid = valid & np.isfinite(value)
         return value, valid
 
@@ -458,50 +494,6 @@ def p_revised(x, t, ic, params: DoubleSlitParams):
     """
     field = GuidanceField("revised", params, ic.x0, ic.p0, ic.t0)
     return _checked("revised", *field(x, t), x, t)
-
-
-def momentum_density(p, params: DoubleSlitParams):
-    """Momentum probability density: Gaussian envelope times cos^2(x_half p / hbar).
-
-    This is the squared modulus of the Fourier transform of psi; it is
-    time independent for the free double-slit state.
-    """
-    p = np.asarray(p, dtype=float)
-    hbar = HBAR_NM2_ME_PS
-    sp = params.sigma_p
-    with np.errstate(under="ignore"):
-        prefactor = np.sqrt(2.0 / np.pi) / sp / (1.0 + np.exp(-2.0 * sp ** 2 * params.x_half ** 2 / hbar ** 2))
-        value = prefactor * np.exp(-(p ** 2) / (2.0 * sp ** 2)) * np.cos(params.x_half * p / hbar) ** 2
-    return _scalar_like(value, p)
-
-
-def momentum_cumulative(p, params: DoubleSlitParams):
-    """Momentum CDF, the integral of the momentum density over p' < p, in closed form.
-
-    With k = x_half / hbar and s = sigma_p the density is a Gaussian of
-    width s times 2 (1 + cos 2kp) / N.  The Gaussian integrates to 2 ndtr;
-    the cosine term to Re of a shifted complex erfc, written through the
-    Faddeeva function w as in :func:`mass_coordinate`.  Only p <= 0 is
-    evaluated, where the argument of w lies in the upper half plane and
-    |w| <= 1, and F(p) = 1 - F(-p) gives the rest.  The value always lies
-    in [0, 1] (see :func:`_flush_tail`).
-    """
-    p = np.asarray(p, dtype=float)
-    q = -np.abs(p)
-    s = params.sigma_p
-    k = params.x_half / HBAR_NM2_ME_PS
-    z = -(q - 2.0j * k * s ** 2) / (s * np.sqrt(2.0))
-    with np.errstate(under="ignore"):
-        cross = np.exp(-(q ** 2) / (2.0 * s ** 2) + 2.0j * k * q) * wofz(1.0j * z)
-    lower = _flush_tail((2.0 * ndtr(q / s) + np.real(cross)) / norm_constant(params))
-    value = np.where(p > 0.0, 1.0 - lower, lower)
-    return _scalar_like(value, p)
-
-
-def momentum_cdf(params: DoubleSlitParams) -> ClosedFormCDF:
-    """The momentum CDF (:func:`momentum_cumulative`), time independent."""
-    cdf, pdf = partial(momentum_cumulative, params=params), partial(momentum_density, params=params)
-    return ClosedFormCDF(cdf, pdf, 0.0, params.sigma_p)
 
 
 def schrodinger_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float, psi_fn=None):

@@ -1,7 +1,8 @@
 """Module layout: no module reaches into a sibling's private names or
 imports a name it never uses, importing the CLI stays cheap, the ensemble
 module runs the exact-transport engine, both engines return one result
-type, and the CLI writes every file through one hashing writer."""
+type, the CLI writes every file through one hashing writer, and the wave
+field evaluates both laws through one density kernel and one CDF kernel."""
 
 import ast
 import os
@@ -106,21 +107,39 @@ def test_engines_return_columns_on_the_record_grid(params, schedule, engine):
         np.testing.assert_array_equal(columns.t, schedule.record_times)
 
 
-def test_cli_writes_only_through_the_hashing_writer():
-    """In cli.py only ``_write_hashed`` calls ``open``, and nothing calls
-    ``write_text`` or ``write_bytes``, so every output file is hashed and
-    every failed write is reported one way."""
-    tree = ast.parse((_PACKAGE / "cli.py").read_text(encoding="utf-8"))
+def _calls(path: Path):
+    """(enclosing function, called name, line) for every call in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     enclosing = {}
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
                 enclosing[node] = func.name  # inner functions are walked later and win
-    offenders = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            where = enclosing.get(node, "<module>")
-            if name in ("write_text", "write_bytes") or (name == "open" and where != "_write_hashed"):
-                offenders.append(f"{where}:{node.lineno} calls {name}")
+            yield enclosing.get(node, "<module>"), getattr(node.func, "id", getattr(node.func, "attr", None)), node.lineno
+
+
+def test_cli_writes_only_through_the_hashing_writer():
+    """In cli.py only ``_write_hashed`` calls ``open``, and nothing calls
+    ``write_text`` or ``write_bytes``, so every output file is hashed and
+    every failed write is reported one way."""
+    offenders = [
+        f"{where}:{line} calls {name}"
+        for where, name, line in _calls(_PACKAGE / "cli.py")
+        if name in ("write_text", "write_bytes") or (name == "open" and where != "_write_hashed")
+    ]
     assert not offenders, f"cli.py writes outside _write_hashed: {offenders}"
+
+
+def test_wavefield_has_one_density_kernel_and_one_cdf_kernel():
+    """In wavefield.py only ``_cumulative`` calls ``wofz`` and ``ndtr``, and
+    only ``_density_terms`` calls ``np.cos``, so both laws' densities and
+    CDFs share one real kernel and one Faddeeva kernel."""
+    owners = {"wofz": "_cumulative", "ndtr": "_cumulative", "cos": "_density_terms"}
+    offenders = [
+        f"{where}:{line} calls {name}"
+        for where, name, line in _calls(_PACKAGE / "wavefield.py")
+        if name in owners and where != owners[name]
+    ]
+    assert not offenders, f"wavefield.py evaluates a law outside its kernels: {offenders}"

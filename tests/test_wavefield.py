@@ -19,6 +19,8 @@ from qtraj.wavefield import (
     HBAR_NM2_ME_PS,
     NODE_FLOOR_RELATIVE,
     _QUANTILE_TOL,
+    ClosedFormCDF,
+    GuidanceField,
     _prefactor,
     continuity_residual,
     continuity_truncation_bound,
@@ -342,6 +344,25 @@ def test_node_floor_tracks_peak_bound(params):
         )
 
 
+@pytest.mark.parametrize("theory", ["dbb", "revised"])
+def test_guidance_field_floor_is_node_floor(params, theory):
+    """The field marks a point valid exactly where rho exceeds the public
+    node_floor, over the 400 doubles either side of each crossing of the
+    floor, at both slits' outer tails."""
+    field = GuidanceField(theory, params, 10.0, 1.0)
+    for t in (0.0, 2.0, 5.0):
+        floor = node_floor(params, t)
+        lo, hi = params.x_half, params.x_half + 20.0 * float(sigma_t(params, t))
+        for _ in range(200):  # rho falls through the floor between lo and hi
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rho(mid, t, params) > floor else (lo, mid)
+        x = lo + np.arange(-400, 401) * np.spacing(lo)
+        expected = rho(x, t, params) > floor
+        assert expected.any() and not expected.all()
+        np.testing.assert_array_equal(field(x, t)[1], expected)
+        np.testing.assert_array_equal(field(-x, t)[1], expected)
+
+
 def test_p_revised_anchors_to_initial_momentum(params, rng):
     x0 = rng.uniform(-80.0, 80.0, 200)
     p0 = rng.uniform(-15.0, 15.0, 200)
@@ -527,6 +548,77 @@ def test_momentum_cdf_quantile_round_trip(x_half, sigma, rng):
     assert np.all(np.diff(p[np.argsort(u)]) >= 0.0)
     p = momentum_cdf(params).quantile(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
     np.testing.assert_array_equal(p, [-np.inf, np.inf, -np.inf, np.inf, np.nan])
+
+
+def _reference_cdf(x: float, center, width_sq, wave, norm) -> tuple[float, float]:
+    """F(-|x|) and F(x) at 50 digits for the two-packet law with the given
+    center, width^2, half-wavenumber and norm, from its closed form with a
+    complex erfc."""
+    with mpmath.workdps(50):
+        width, y = mpmath.sqrt(width_sq), -abs(mpmath.mpf(x))
+        gauss = lambda v: mpmath.erfc(-v / mpmath.sqrt(2)) / 2  # noqa: E731
+        shifted = mpmath.erfc(-(y - 2j * wave * width_sq) / (mpmath.sqrt(2) * width))
+        cross = mpmath.exp(-(center**2) / (2 * width_sq) - 2 * wave**2 * width_sq) * mpmath.re(shifted)
+        lower = (gauss((y - center) / width) + gauss((y + center) / width) + cross) / norm
+        return float(lower), float(1 - lower if x > 0.0 else lower)
+
+
+def _reference_laws(params, t):
+    """The position law at t and the momentum law at 50 digits, for the exact
+    doubles given: (center, width^2, half-wavenumber, norm) each."""
+    with mpmath.workdps(50):
+        physics = (HBAR_NM2_ME_PS, params.sigma, params.x_half, params.mass)
+        hbar, sigma, x_half, mass = (mpmath.mpf(v) for v in physics)
+        t = abs(mpmath.mpf(t))
+        width_sq = sigma**2 + (hbar * t / (2 * mass * sigma)) ** 2
+        norm = 2 + 2 * mpmath.exp(-(x_half**2) / (2 * sigma**2))
+        position = (x_half, width_sq, x_half * hbar * t / (4 * mass * sigma**2 * width_sq), norm)
+        return position, (0, (hbar / (2 * sigma)) ** 2, x_half / hbar, norm)
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
+def test_cdfs_match_high_precision_reference(name):
+    """Both closed-form CDFs agree with a 50-digit complex-erfc closed form
+    over +-(X + 8 sigma_t) at t in {0, tau, 3.5, 5 ps} and over +-8 sigma_p:
+    to 2 ulp of 1 in F, and to 1e-12 relative in min(F, 1 - F), the tail
+    the kernel evaluates (F(-|x|), since F(x) = 1 - F(-x))."""
+    params, _ = _REFERENCE_PHYSICS[name]
+    rng = np.random.default_rng(2025)
+    cases = []
+    for t in (0.0, params.dispersion_time, 3.5, 5.0):
+        reach = params.x_half + 8.0 * float(sigma_t(params, t))
+        cases.append((position_cdf(params, t), rng.uniform(-reach, reach, 60), _reference_laws(params, t)[0]))
+    p = rng.uniform(-8.0, 8.0, 120) * params.sigma_p
+    cases.append((momentum_cdf(params), p, _reference_laws(params, 0.0)[1]))
+    for cdf, x, law in cases:
+        lower, reference = np.array([_reference_cdf(xi, *law) for xi in x]).T
+        assert np.max(np.abs(cdf(x) - reference)) <= 4.4e-16
+        assert np.max(np.abs(cdf(-np.abs(x)) - lower) / lower) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
+def test_far_field_position_law_is_the_momentum_law(name):
+    """At t = 1e12 tau the position law is the momentum law in p = m x / t:
+    m x_u / t equals the momentum quantile p_u for u in [0.001, 0.999]."""
+    params, _ = _REFERENCE_PHYSICS[name]
+    t = 1e12 * params.dispersion_time
+    u = np.linspace(0.001, 0.999, 999)
+    far = params.mass * position_cdf(params, t).quantile(u) / t
+    assert np.max(np.abs(far - momentum_cdf(params).quantile(u))) <= 1e-12 * params.sigma_p
+
+
+def test_far_field_link_fails_with_doubled_fringes():
+    """Negative control: a normalized momentum law with twice the
+    half-wavenumber fails the far-field check at every reference physics."""
+    u = np.linspace(0.001, 0.999, 999)
+    for params, _ in _REFERENCE_PHYSICS.values():
+        t = 1e12 * params.dispersion_time
+        far = params.mass * position_cdf(params, t).quantile(u) / t
+        law = momentum_cdf(params)
+        doubled = ClosedFormCDF(0.0, law.width, 2.0 * law.wave, 2.0 + 2.0 * np.exp(-8.0 * (law.wave * law.width) ** 2))
+        p = doubled.quantile(u)
+        assert np.all(np.isfinite(p))
+        assert np.max(np.abs(far - p)) > 1e-6 * params.sigma_p
 
 
 #: The draws a sampler can invert: ``random()``'s values in (0, 1), an exact 0
