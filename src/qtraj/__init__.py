@@ -43,7 +43,6 @@ from .wavefield import (
     continuity_truncation_bound,
     envelope_density,
     momentum_cdf,
-    momentum_density,
     node_floor,
     norm_constant,
     p_bb,
@@ -85,7 +84,6 @@ __all__ = [
     "ks_test",
     "make_initial_conditions",
     "momentum_cdf",
-    "momentum_density",
     "node_floor",
     "norm_constant",
     "p_bb",

@@ -50,7 +50,6 @@ from .wavefield import (
     continuity_truncation_bound,
     envelope_density,
     momentum_cdf,
-    momentum_density,
     node_floor,
     p_bb,
     p_revised,
@@ -175,20 +174,26 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     dt = _parse_float(raw, "dt_ps")
     if not 0 < dt <= t_final - t0:
         raise ConfigError("dt_ps", f"must lie in (0, t_final - t0], got {dt!r}")
-    # quantile's far bracket is +-(x_half + 40 sigma_t(t)); one that overflows is rejected below
-    with np.errstate(all="ignore"):
-        reach0, reach1 = (x_half + 40.0 * float(sigma_t(params, t)) for t in (t0, t_final))
     for key, scale, value in (
         ("x_half_nm", "x_half^2", x_half * x_half),
         ("sigma_nm", "sigma^2", sigma * sigma),
         ("sigma_nm", "sigma_p^2", params.sigma_p * params.sigma_p),
         ("mass_me", "hbar/m", HBAR_NM2_ME_PS / mass),
-        ("t0_ps", "(x_half + 40 sigma_t(t0))^2", reach0 * reach0),
-        ("t_final_ps", "(x_half + 40 sigma_t(t_final))^2", reach1 * reach1),
     ):
         # the physics squares and divides by these; only x_half^2 may vanish
         if not (np.isfinite(value) and (value > 0 or key == "x_half_nm")):
             raise ConfigError(key, f"{scale} = {value!r} lies outside the range of a double")
+    for key, t in (("t0_ps", t0), ("t_final_ps", t_final)):
+        # quantile brackets the position law at t by +-(x_half + 40 sigma_t(t)), and its
+        # fringe half-wavenumber holds x_half spread(t); neither may overflow
+        with np.errstate(all="ignore"):
+            law = position_cdf(params, t)
+        far = law.center + 40.0 * law.width
+        if not (np.isfinite(far) and np.isfinite(law.wave)):
+            raise ConfigError(
+                key, f"the position law at t = {t!r} has far bracket x_half + 40 sigma_t = {far!r} and "
+                f"half-wavenumber {law.wave!r}, outside the range of a double"
+            )
 
     n_traj = _parse_int(raw, "n_traj")
     if n_traj < 1:
@@ -281,27 +286,25 @@ def build_slice_report(result: EnsembleResult, t: float, observable: str) -> Sli
     values = slice_values(result, t, observable)
     position_spec, momentum_spec = default_histogram_specs(params, config.schedule.t_final, config.n_bins)
     if observable == "position":
-        oracle_cdf = position_cdf(params, t)
+        law = position_cdf(params, t)
         hist = build_histogram(values.values, position_spec)
-        oracle = np.asarray(rho(hist.centers, t, params), dtype=float)
         dip = peak = None
     else:
-        oracle_cdf = momentum_cdf(params)
+        law = momentum_cdf(params)
         hist = build_histogram(values.values, momentum_spec)
-        oracle = np.asarray(momentum_density(hist.centers, params), dtype=float)
         try:
             dip = central_dip_metric(hist, params)
             peak = side_band_peak(hist, params)
         except ValueError:  # bins too coarse to resolve the dip bands
             dip = peak = float("nan")
-    ks = ks_test(values.values, oracle_cdf, alpha=0.01)
+    ks = ks_test(values.values, law, alpha=0.01)
     return SliceReport(
         time=t,
         observable=observable,
         theory=config.theory,
         slice=values,
         histogram=hist,
-        oracle_density=oracle,
+        oracle_density=law.pdf(hist.centers),
         ks=ks,
         central_dip=dip,
         side_peak=peak,
@@ -394,31 +397,22 @@ def cmd_run(setup: RunSetup, workers: int) -> int:
 
 def cmd_compare(setup: RunSetup, workers: int) -> int:
     """Both theories on one seed (identical initial positions), side by side."""
-    reports: dict[str, dict[tuple[float, str], SliceReport]] = {}
-    for theory in THEORIES:
-        theory_reports = _run_one(setup, theory, workers, suffix=f"-{theory}")
-        reports[theory] = {(rep.time, rep.observable): rep for rep in theory_reports}
-
-    lines = [
-        "time_ps observable dbb_ks dbb_passed revised_ks revised_passed",
-    ]
-    for t in setup.config.slice_times:
-        for obs in ("position", "momentum"):
-            dbb = reports["dbb"][(t, obs)]
-            rev = reports["revised"][(t, obs)]
-            lines.append(
-                f"{t:.10g} {obs} {dbb.ks.statistic:.10g} {str(dbb.ks.passed).lower()} "
-                f"{rev.ks.statistic:.10g} {str(rev.ks.passed).lower()}"
-            )
+    # each theory's reports come in the same slice order, so they pair up
+    pairs = list(zip(*(_run_one(setup, theory, workers, suffix=f"-{theory}") for theory in THEORIES)))
+    lines = ["time_ps observable dbb_ks dbb_passed revised_ks revised_passed"]
+    for dbb, rev in pairs:
+        lines.append(
+            f"{dbb.time:.10g} {dbb.observable} {dbb.ks.statistic:.10g} {str(dbb.ks.passed).lower()} "
+            f"{rev.ks.statistic:.10g} {str(rev.ks.passed).lower()}"
+        )
     lines.append("")
     lines.append("time_ps dbb_central_dip revised_central_dip dbb_side_peak revised_side_peak")
-    for t in setup.config.slice_times:
-        dbb = reports["dbb"][(t, "momentum")]
-        rev = reports["revised"][(t, "momentum")]
-        lines.append(
-            f"{t:.10g} {dbb.central_dip:.10g} {rev.central_dip:.10g} "
-            f"{dbb.side_peak:.10g} {rev.side_peak:.10g}"
-        )
+    for dbb, rev in pairs:
+        if dbb.observable == "momentum":
+            lines.append(
+                f"{dbb.time:.10g} {dbb.central_dip:.10g} {rev.central_dip:.10g} "
+                f"{dbb.side_peak:.10g} {rev.side_peak:.10g}"
+            )
     table = "\n".join(lines)
     print(table)
     compare = _write_hashed(setup.out_dir / "compare.txt", [table + "\n"], "compare table")
@@ -466,8 +460,9 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
     checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{0, 1, 3.5, {t_final:g}}}"))
 
     p_hw = 10.0 * params.sigma_p
-    limit = max(300, int(np.ceil(8.0 * p_hw * momentum_cdf(params).wave / np.pi)))
-    total, _ = quad(lambda p: float(momentum_density(p, params)), -p_hw, p_hw, limit=limit)
+    law = momentum_cdf(params)
+    limit = max(300, int(np.ceil(8.0 * p_hw * law.wave / np.pi)))
+    total, _ = quad(lambda p: float(law.pdf(p)), -p_hw, p_hw, limit=limit)
     err = abs(total - 1.0)
     checks.append(("momentum_norm", err < 1e-6, f"|integral - 1| = {err:.3e}"))
 

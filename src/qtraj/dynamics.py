@@ -40,7 +40,6 @@ from .wavefield import (
     DoubleSlitParams,
     GuidanceField,
     NodeSingularity,
-    mass_coordinate,
     position_cdf,
     rho,
 )
@@ -221,7 +220,7 @@ def integrate_batch(
     x0 = rec_x[:, 0].copy()
     n = x0.size
 
-    u_start = mass_coordinate(x0, schedule.t0, params)
+    u_start = position_cdf(params, schedule.t0)(x0)
     drift = None if field.delta_p is None else field.delta_p / params.mass
     swept = np.zeros(n)  # integral of rho(x0, s) ds from t0 to the last record
     active = np.ones(n, dtype=bool)

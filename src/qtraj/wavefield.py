@@ -8,10 +8,14 @@ field -- is evaluated analytically; spatial derivatives use the closed
 form, never finite differences.  Both densities are one two-packet law
 (center, width, fringe half-wavenumber, N): position at time t is
 (x_half, sigma_t, x_half spread(t) / (2 sigma sigma_t^2), N), and momentum
-is its far-field limit (0, sigma_p, x_half / hbar, N).  Every density goes
-through one real kernel (:func:`_density_terms`) and every CDF through one
-Faddeeva kernel (:func:`_cumulative`); one :class:`GuidanceField`
-evaluation gives the density, its node-floor mask and both guidance laws.
+is its far-field limit (0, sigma_p, x_half / hbar, N).  Each law is one
+:class:`ClosedFormCDF` object, from :func:`position_cdf` or
+:func:`momentum_cdf`: its call is the CDF, ``.pdf`` the density and
+``.quantile`` the checked inverse.  :func:`rho` is the position density
+that also broadcasts over t.  Every density goes through one real kernel
+(:func:`_density_terms`) and every CDF through one Faddeeva kernel
+(:func:`_cumulative`); one :class:`GuidanceField` evaluation gives the
+density, its node-floor mask and both guidance laws.
 Complex arithmetic remains only in ``psi``, ``packet_amplitude`` and the
 Schrodinger residual, and in the CDF kernel's Faddeeva term.
 
@@ -168,12 +172,6 @@ def _position_law(params: DoubleSlitParams, t):
     return params.x_half, width, wave, norm_constant(params)
 
 
-def _momentum_law(params: DoubleSlitParams):
-    """The momentum density as a two-packet law: (0, sigma_p, x_half / hbar, N),
-    the far-field position law, rho(x, t) -> (m / t) |psi~(m x / t)|^2."""
-    return 0.0, params.sigma_p, params.x_half / HBAR_NM2_ME_PS, norm_constant(params)
-
-
 def _density_terms(x, center, width, wave, norm):
     """Real terms of a two-packet law's density: a, b, wave x, T and sqrt(2 pi) width N.
 
@@ -183,13 +181,15 @@ def _density_terms(x, center, width, wave, norm):
     conj(psi_r) psi_l for t >= 0), and T = (a - b)^2 + 4 a b cos^2(phi / 2)
     = a^2 + b^2 + 2 a b cos phi is the density times sqrt(2 pi) width N.
     Both terms of T are non-negative, so a fringe minimum loses no digits to
-    cancellation.  The width is never squared, so nothing overflows.
+    cancellation.  The width is never squared, so nothing overflows.  At
+    center 0 (the momentum law), x - 0 and x + 0 square to the same double,
+    so b is a itself.
     """
     x = np.asarray(x, dtype=float)
     scale = 0.5 / width
     with np.errstate(under="ignore"):
         a = np.exp(-np.square((x - center) * scale))
-        b = np.exp(-np.square((x + center) * scale))
+        b = a if center == 0 else np.exp(-np.square((x + center) * scale))
     half = x * wave
     total = np.square(a - b) + 4.0 * a * b * np.square(np.cos(half))
     return a, b, half, total, np.sqrt(2.0 * np.pi) * norm * width
@@ -210,13 +210,6 @@ def envelope_density(x, t, params: DoubleSlitParams):
     (sqrt(2 pi) sigma_t N) of the density; it bounds :func:`rho` term by term."""
     a, b, _, _, denom = _density_terms(x, *_position_law(params, t))
     return _scalar_like(np.square(a + b) / denom, x, t)
-
-
-def momentum_density(p, params: DoubleSlitParams):
-    """Momentum probability density |psi~(p)|^2, time independent: Gaussian
-    envelope times cos^2(x_half p / hbar), the density of the momentum law."""
-    _, _, _, total, denom = _density_terms(p, *_momentum_law(params))
-    return _scalar_like(total / denom, p)
 
 
 def rho_peak_bound(params: DoubleSlitParams, t):
@@ -270,22 +263,11 @@ def _cumulative(x, center, width, wave, norm):
     return np.where(x > 0.0, 1.0 - lower, lower)
 
 
-def mass_coordinate(x, t, params: DoubleSlitParams):
-    """Position CDF F_t(x), the integral of rho(x', t) over x' < x: the closed-form
-    CDF of the position law at t.  ``t`` must be a scalar or broadcast with ``x``."""
-    return _scalar_like(_cumulative(x, *_position_law(params, t)), x, t)
-
-
-def momentum_cumulative(p, params: DoubleSlitParams):
-    """Momentum CDF, the integral of the momentum density over p' < p: the
-    closed-form CDF of the momentum law."""
-    return _scalar_like(_cumulative(p, *_momentum_law(params)), p)
-
-
 @dataclass(frozen=True)
 class ClosedFormCDF:
-    """The closed-form CDF of a two-packet law; callable, with its density and checked quantiles.
+    """A two-packet law: its closed-form CDF (the call), density (``pdf``) and checked quantiles.
 
+    The one way to evaluate a law's CDF, or its density at a fixed time.
     Two Gaussians of standard deviation ``width`` at +-``center`` interfere
     with fringes cos^2(wave x), over the squared norm ``norm`` (see
     :func:`_density_terms`)."""
@@ -389,7 +371,8 @@ def _quantile_table(cdf, pdf, half: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
-    """The mass coordinate F_t (:func:`mass_coordinate`) as a CDF.
+    """The position law at time t: the mass coordinate F_t(x), the integral
+    of rho(x', t) over x' < x, with rho(., t) as its ``.pdf``.
 
     Equal arguments return one shared object (the last
     ``_POSITION_CDF_CACHE`` are kept), so every batch, thread and theory
@@ -404,8 +387,11 @@ def _shared_position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
 
 
 def momentum_cdf(params: DoubleSlitParams) -> ClosedFormCDF:
-    """The momentum CDF (:func:`momentum_cumulative`), time independent: the momentum law."""
-    return ClosedFormCDF(*_momentum_law(params))
+    """The momentum law, time independent: (0, sigma_p, x_half / hbar, N),
+    the far-field position law, rho(x, t) -> (m / t) |psi~(m x / t)|^2.  Its
+    ``.pdf`` is the momentum density |psi~(p)|^2, a Gaussian envelope times
+    cos^2(x_half p / hbar)."""
+    return ClosedFormCDF(0.0, params.sigma_p, params.x_half / HBAR_NM2_ME_PS, norm_constant(params))
 
 
 class GuidanceField:

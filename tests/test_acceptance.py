@@ -59,9 +59,6 @@ from qtraj.wavefield import (
     continuity_residual,
     continuity_truncation_bound,
     envelope_density,
-    mass_coordinate,
-    momentum_cumulative,
-    momentum_density,
     p_bb,
     p_revised,
     rho,
@@ -138,7 +135,8 @@ def test_criterion_03_normalizations(params):
         val, err = quad(lambda xx: rho(xx, t, params), -450.0, 450.0, limit=400)
         assert err < 1e-7
         worst = max(worst, abs(val - 1.0))
-    val, err = quad(lambda p: momentum_density(p, params), -80.0, 80.0, limit=200)
+    density = momentum_cdf(params).pdf
+    val, err = quad(lambda p: float(density(p)), -80.0, 80.0, limit=200)
     assert err < 1e-7
     worst_mom = abs(val - 1.0)
     ok = worst < 1e-6 and worst_mom < 1e-6
@@ -209,9 +207,9 @@ def _survival(params, t, drift=1.0):
     s = tau * np.tan(theta)
     x0 = np.linspace(-200.0, 200.0, 8001)
     swept = np.concatenate([rho(part[:, None], s, params) @ ds for part in np.array_split(x0, 8)])
-    f0, m = mass_coordinate(x0, 0.0, params), params.mass
+    f0, m, momenta = position_cdf(params, 0.0)(x0), params.mass, momentum_cdf(params)
     spread_p = drift * swept / m
-    kept = momentum_cumulative((1.0 - f0) / spread_p, params) - momentum_cumulative(-f0 / spread_p, params)
+    kept = momenta((1.0 - f0) / spread_p) - momenta(-f0 / spread_p)
     return float(np.trapezoid(rho(x0, 0.0, params) * kept, x0))
 
 
@@ -264,9 +262,8 @@ def test_criterion_06_initial_momentum_ks(params, full_ensembles):
 def _quantum_dip(params, spec):
     """central_dip_metric of the exact momentum density, binned by quadrature."""
     edges = spec.edges
-    mass = np.array(
-        [quad(momentum_density, a, b, args=(params,))[0] for a, b in zip(edges[:-1], edges[1:])]
-    )
+    density = momentum_cdf(params).pdf
+    mass = np.array([quad(lambda p: float(density(p)), a, b)[0] for a, b in zip(edges[:-1], edges[1:])])
     h = Histogram(
         edges=edges, counts=mass, density=mass / (mass.sum() * np.diff(edges)), n_below=0, n_above=0
     )

@@ -27,7 +27,7 @@ from qtraj.cli import (
     write_histograms,
     write_trajectories,
 )
-from qtraj.wavefield import mass_coordinate
+from qtraj.wavefield import position_cdf
 
 
 def _write_config(tmp_path, **kw):
@@ -96,8 +96,8 @@ def test_overrides_beat_file(tmp_path):
         ("x_half_nm", "1e300"),
         ("sigma_nm", "1e300"),
         ("mass_me", "1e-310"),
-        ("t_final_ps", "1e300"),
-        ("t0_ps", "-1e160"),
+        ("t_final_ps", "1e306"),  # the position law there overflows
+        ("t0_ps", "-1e306"),
     ],
 )
 def test_invalid_values_rejected(tmp_path, key, value):
@@ -321,7 +321,7 @@ def test_compare_with_empty_slices_exits_zero(tmp_path, capsys):
         first = np.searchsorted(samples[:, 0], np.arange(64))
         x0, p0 = samples[first, 2], samples[first, 3]
         swept = (0.0625 * rho(x0[:, None, None], s[None], params) * weights).sum(axis=(1, 2))
-        final = mass_coordinate(x0, 0.0, params) + (p0 - p_bb(x0, 0.0, params)) / params.mass * swept
+        final = position_cdf(params, 0.0)(x0) + (p0 - p_bb(x0, 0.0, params)) / params.mass * swept
         escapes = (final <= 0.0) | (final >= 1.0)
         np.testing.assert_array_equal(escapes, [status[i] == "node_stalled" for i in range(64)])
         assert set(status.values()) <= {"completed", "node_stalled"}
@@ -437,20 +437,32 @@ def test_record_grid_too_large_exits_cleanly(tmp_path, capsys, t_final, rc):
     assert rc != 2 or "'dt_ps'" in err
 
 
-@pytest.mark.parametrize("t0,codes", [("-6e151", (2,)), ("-5e151", (0, 1))])
-def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, codes):
-    """Beyond |t0| of about 5.8e151 ps, (x_half + 40 sigma_t(t0))^2 overflows
-    and the sampler's position ratios could all vanish; such a t0 is
-    rejected, one just inside runs to the end."""
-    path = _write_config(tmp_path, t0_ps=t0, dt_ps=str(5.0 - float(t0)), slices_ps=f"{t0}, 5", n_traj=16)
+@pytest.mark.parametrize("t0,rc", [("-1e300", 0), ("-7e305", 2), ("-1e306", 2)])
+def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, rc):
+    """A t0 at which the position law overflows is rejected naming t0_ps:
+    beyond about 6.2e305 ps its half-wavenumber's x_half spread(t0) does,
+    and beyond 7.8e305 ps its far bracket x_half + 40 sigma_t(t0).  One
+    inside runs to the end with no warning, and every dbb lane keeps its
+    mass coordinate: F_5(x) = F_t0(x0) to 1e-12."""
+    path = _write_config(
+        tmp_path, theory="dbb", t0_ps=t0, dt_ps=str(5.0 - float(t0)), slices_ps=f"{t0}, 5", n_traj=16
+    )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "qtraj.cli", "run", "--config", str(path), "--out", str(tmp_path / "o")]
+    argv = [sys.executable, "-W", "error", "-m", "qtraj.cli", "run", "--config", str(path), "--out", str(tmp_path / "o")]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode in codes, done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.returncode != 2 or "'t0_ps'" in done.stderr
+    assert done.returncode == rc, done.stderr
+    if rc == 2:
+        assert done.stderr.startswith("error: config key 't0_ps'") and done.stderr.count("\n") == 1
+        return
+    assert done.stderr == ""
+    samples = np.loadtxt(tmp_path / "o" / "trajectories.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    params = DoubleSlitParams(50.0, 10.0)
+    x0, x5 = samples[0::2, 1], samples[1::2, 1]
+    assert x0.size == x5.size == 16 and np.all(samples[1::2, 0] == 5.0)
+    drift = position_cdf(params, 5.0)(x5) - position_cdf(params, float(t0))(x0)
+    assert np.max(np.abs(drift)) <= 1e-12
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -585,9 +597,9 @@ def test_writers_return_the_sha256_of_their_bytes(tmp_path):
 def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch):
     """Two batches per theory invert F_t at the same record times; each
     time's position CDF, with its quantile table, is built once and shared
-    by every batch and both theories.  The sampler adds two tables: F_t0,
-    which both theories' position draws share, and the momentum CDF of the
-    revised draws."""
+    by every batch and both theories.  F_t0, which every batch evaluates at
+    its start, is the one the sampler inverts for both theories' position
+    draws; the only other table is the momentum CDF of the revised draws."""
     monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
     wavefield._shared_position_cdf.cache_clear()
     builds = mock.Mock(wraps=wavefield._quantile_table)
@@ -600,5 +612,5 @@ def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch
     assert main(["compare", "--config", str(cfg)]) == 0
     assert batches.call_count == 4
     times = {call.args[1] for call in inverted.call_args_list}
-    assert len(times) == 42 and inverted.call_count > 2 * len(times)
-    assert builds.call_count == len(times) + 2
+    assert len(times) == 43 and 0.0 in times and inverted.call_count > 2 * len(times)
+    assert builds.call_count == len(times) + 1

@@ -14,7 +14,7 @@ from qtraj import (
     make_initial_conditions,
 )
 from qtraj.dynamics import STATUS_COMPLETED, STATUS_EXITED, STATUS_STALLED, integrate_batch, rk4_batch
-from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho
+from qtraj.wavefield import GuidanceField, p_bb, p_revised, position_cdf, rho
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -214,7 +214,7 @@ def _closed_form_targets(ics, times, params):
     between consecutive ``times``, summed in order.
     """
     x0, t0 = ics.x0, ics.t0
-    target = np.repeat(mass_coordinate(x0, t0, params)[:, None], len(times), axis=1)
+    target = np.repeat(position_cdf(params, t0)(x0)[:, None], len(times), axis=1)
     if ics.theory == "dbb":
         return target
     drift = (ics.p0 - p_bb(x0, t0, params)) / params.mass
@@ -232,10 +232,14 @@ def _check_transport(ics, sched, params, tol):
     trajs = integrate_batch(ics, sched, params)
     times = sched.record_times
     target = _closed_form_targets(ics, times, params)
+    reached = np.full(target.shape, np.nan)  # F_t(x) at each lane's records
+    for r in range(1, times.size):
+        lanes = trajs.n_records > r
+        reached[lanes, r] = position_cdf(params, times[r])(trajs.x[lanes, r])
     for i, tr in enumerate(trajs):
         k = tr.t.size
         np.testing.assert_array_equal(tr.t, times[:k])
-        residual = np.abs(mass_coordinate(tr.x[1:], tr.t[1:], params) - target[i, 1:k])
+        residual = np.abs(reached[i, 1:k] - target[i, 1:k])
         assert residual.size == 0 or residual.max() <= tol
         if tr.status == STATUS_COMPLETED:
             assert k == times.size

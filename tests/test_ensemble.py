@@ -32,7 +32,7 @@ from qtraj import (
 )
 from qtraj import ensemble, wavefield
 from qtraj.dynamics import TrajectoryColumns, rk4_batch
-from qtraj.wavefield import GuidanceField, mass_coordinate, p_bb, p_revised, rho, sigma_t
+from qtraj.wavefield import GuidanceField, p_bb, p_revised, rho
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +258,7 @@ def test_revised_transport_stops_exactly_the_escapes(params, revised_512):
     edges = np.linspace(0.0, 5.0, 41)
     s = edges[:-1, None] + 0.0625 * (nodes + 1.0)
     swept = (0.0625 * rho(x0[:, None, None], s[None], params) * weights).sum(axis=(1, 2))
-    final = mass_coordinate(x0, 0.0, params) + (p0 - p_bb(x0, 0.0, params)) / params.mass * swept
+    final = position_cdf(params, 0.0)(x0) + (p0 - p_bb(x0, 0.0, params)) / params.mass * swept
     escapes = (final <= 0.0) | (final >= 1.0)
     assert np.count_nonzero(escapes) == 138
     np.testing.assert_array_equal(escapes, [tr.status == "node_stalled" for tr in res.trajectories])
@@ -492,14 +492,12 @@ def test_direct_momentum_draws_have_central_peak(params):
 
 def test_momentum_histogram_matches_density_within_poisson_bars(params):
     """Bin densities sit within 4 sigma Poisson bars of the target on >=95% of bins."""
-    from qtraj.wavefield import momentum_density
-
     n = 40000
     _, mom = default_histogram_specs(params, 5.0)
     draws = sample_momenta(n, SeededStream(71), params)
     h = build_histogram(draws, mom)
     width = np.diff(h.edges)
-    oracle = momentum_density(h.centers, params)
+    oracle = momentum_cdf(params).pdf(h.centers)
     expected_counts = np.maximum(oracle * width * n, 1.0)
     bars = 4.0 * np.sqrt(expected_counts) / (n * width)
     ok = np.abs(h.density - oracle) <= bars
@@ -524,13 +522,6 @@ def test_momentum_cdf_symmetry(params):
     cdf = momentum_cdf(params)
     p = np.linspace(0.5, 20.0, 40)
     np.testing.assert_allclose(cdf(-p), 1.0 - cdf(p), atol=1e-9)
-
-
-def test_position_cdf_is_mass_coordinate(params):
-    rng = np.random.default_rng(8)
-    for t in (0.0, 1.3, 5.0):
-        x = rng.normal(0.0, params.x_half + 3.0 * float(sigma_t(params, t)), 1000)
-        np.testing.assert_array_equal(position_cdf(params, t)(x), mass_coordinate(x, t, params))
 
 
 def test_quantile_inverts_cdf(params):

@@ -2,7 +2,8 @@
 imports a name it never uses, importing the CLI stays cheap, the ensemble
 module runs the exact-transport engine, both engines return one result
 type, the CLI writes every file through one hashing writer, and the wave
-field evaluates both laws through one density kernel and one CDF kernel."""
+field evaluates both laws through one density kernel and one CDF kernel,
+reached only through the law object."""
 
 import ast
 import os
@@ -143,3 +144,27 @@ def test_wavefield_has_one_density_kernel_and_one_cdf_kernel():
         if name in owners and where != owners[name]
     ]
     assert not offenders, f"wavefield.py evaluates a law outside its kernels: {offenders}"
+
+
+def test_law_cdfs_go_through_the_law_object():
+    """In wavefield.py only ``ClosedFormCDF.__call__`` calls ``_cumulative``,
+    and no module defines the deleted function forms of the laws, so every
+    CDF of a law is evaluated through ``position_cdf`` / ``momentum_cdf``."""
+    tree = ast.parse((_PACKAGE / "wavefield.py").read_text(encoding="utf-8"))
+    (law,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ClosedFormCDF"]
+    (call,) = [node for node in law.body if isinstance(node, ast.FunctionDef) and node.name == "__call__"]
+    inside = {id(node) for node in ast.walk(call)}
+    outside = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cumulative" and id(node) not in inside
+    ]
+    assert not outside, f"wavefield.py calls _cumulative outside ClosedFormCDF.__call__ at lines {outside}"
+    deleted = {"mass_coordinate", "momentum_cumulative", "momentum_density"}
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in deleted
+    ]
+    assert not defined, f"law functions outside the law object: {defined}"

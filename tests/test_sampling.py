@@ -29,7 +29,7 @@ from qtraj import (
 )
 from qtraj import sampling
 from qtraj.dynamics import integrate_batch, rk4_batch
-from qtraj.wavefield import momentum_density, node_floor, p_bb, rho
+from qtraj.wavefield import node_floor, p_bb, rho
 
 MOMENTUM_SECOND_MOMENT_REF = 33.50224233169468699
 CHI2_99_9 = chi2.ppf(0.999, df=49)
@@ -165,7 +165,7 @@ def test_make_initial_conditions_records_t0(params):
 
 def test_momentum_density_positive_where_sampled(params):
     p = sample_momenta(5000, SeededStream(77), params)
-    assert np.all(momentum_density(p, params) > 0.0)
+    assert np.all(momentum_cdf(params).pdf(p) > 0.0)
 
 
 # ---------------------------------------------------------------------------

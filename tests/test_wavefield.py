@@ -25,10 +25,7 @@ from qtraj.wavefield import (
     continuity_residual,
     continuity_truncation_bound,
     envelope_density,
-    mass_coordinate,
     momentum_cdf,
-    momentum_cumulative,
-    momentum_density,
     node_floor,
     norm_constant,
     p_bb,
@@ -85,15 +82,14 @@ def test_sigma_p_frozen(params):
 
 
 def test_momentum_density_peak_frozen(params):
-    assert momentum_density(0.0, params) == pytest.approx(
+    assert momentum_cdf(params).pdf(0.0) == pytest.approx(
         MOMENTUM_DENSITY_ZERO_REF, rel=1e-14
     )
 
 
 def test_momentum_second_moment_matches_quadrature(params):
-    val, err = quad(
-        lambda p: p * p * momentum_density(p, params), -80.0, 80.0, limit=200
-    )
+    density = momentum_cdf(params).pdf
+    val, err = quad(lambda p: p * p * float(density(p)), -80.0, 80.0, limit=200)
     assert err < 1e-7
     assert val == pytest.approx(MOMENTUM_SECOND_MOMENT_REF, abs=1e-6)
 
@@ -222,20 +218,34 @@ def test_position_density_normalized(params):
 
 
 def test_momentum_density_normalized(params):
-    val, err = quad(lambda p: momentum_density(p, params), -80.0, 80.0, limit=200)
+    density = momentum_cdf(params).pdf
+    val, err = quad(lambda p: float(density(p)), -80.0, 80.0, limit=200)
     assert err < 1e-7
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_momentum_density_symmetric_with_interference_zeros(params):
+    density = momentum_cdf(params).pdf
     p = np.linspace(0.1, 30.0, 500)
-    np.testing.assert_allclose(
-        momentum_density(p, params), momentum_density(-p, params), rtol=1e-13
-    )
+    np.testing.assert_allclose(density(p), density(-p), rtol=1e-13)
     # cos^2(X p / hbar) vanishes at p = pi hbar / (2 X)
     p_zero = np.pi * HBAR_NM2_ME_PS / (2.0 * params.x_half)
-    assert momentum_density(p_zero, params) < 1e-25
-    assert momentum_density(0.0, params) > momentum_density(p, params).max()
+    assert density(p_zero) < 1e-25
+    assert density(0.0) > density(p).max()
+
+
+@pytest.mark.parametrize("x_half, sigma", [(50.0, 10.0), (0.0, 10.0), (82.5, 0.1)])
+def test_momentum_pdf_is_the_two_exponential_form(x_half, sigma):
+    """At center 0 the density kernel takes b = a: x - 0 and x + 0 square to
+    the same double, so the pdf is bit-equal to the form that evaluates both
+    exponentials, at +-0.0 too."""
+    law = momentum_cdf(DoubleSlitParams(x_half=x_half, sigma=sigma))
+    p = np.concatenate([np.linspace(-40.0, 40.0, 4001) * law.width, [0.0, -0.0, 5e-324, -5e-324]])
+    scale = 0.5 / law.width
+    a = np.exp(-np.square((p - law.center) * scale))
+    b = np.exp(-np.square((p + law.center) * scale))
+    total = np.square(a - b) + 4.0 * a * b * np.square(np.cos(p * law.wave))
+    np.testing.assert_array_equal(law.pdf(p), total / (np.sqrt(2.0 * np.pi) * law.norm * law.width))
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +468,13 @@ def test_mass_coordinate_matches_quadrature(x_half, sigma, tol, t):
     half = x_half + 14.0 * float(sigma_t(params, t))
     grid = np.linspace(-half, half, 400_001)
     cumulative = cumulative_trapezoid(rho(grid, t, params), grid, initial=0.0)
-    closed = mass_coordinate(grid, t, params)
+    cdf = position_cdf(params, t)
+    closed = cdf(grid)
     assert np.all(np.isfinite(closed))
     assert np.all(np.diff(closed) >= 0.0)
     assert np.max(np.abs(closed - cumulative)) < tol
     assert closed[0] < 1e-40 and closed[-1] == 1.0
-    np.testing.assert_array_equal(mass_coordinate(np.array([-1e9, 1e9]), t, params), [0.0, 1.0])
+    np.testing.assert_array_equal(cdf(np.array([-1e9, 1e9])), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("x_half, sigma, tol", _MASS_COORDINATE_CASES)
@@ -471,9 +482,10 @@ def test_inverse_mass_coordinate_round_trip(x_half, sigma, tol, rng):
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
     u = np.concatenate([rng.uniform(0.0, 1.0, 4000), [1e-30, 1e-12, 0.5, 1.0 - 1e-12]])
     for t in (0.0, 0.125, 5.0):
-        x = position_cdf(params, t).quantile(u)
+        cdf = position_cdf(params, t)
+        x = cdf.quantile(u)
         assert np.all(np.isfinite(x))
-        assert np.max(np.abs(mass_coordinate(x, t, params) - u)) <= 1e-12
+        assert np.max(np.abs(cdf(x) - u)) <= 1e-12
         assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
     x = position_cdf(params, 1.0).quantile(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
     np.testing.assert_array_equal(x, [-np.inf, np.inf, -np.inf, np.inf, np.nan])
@@ -488,9 +500,10 @@ def test_momentum_cumulative_matches_quadrature(params):
     """The density is even, so F(p) = 1/2 + the integral from 0 to p."""
     sp = params.sigma_p
     p = np.linspace(-8.0 * sp, 8.0 * sp, 41)
-    density = lambda q: float(momentum_density(q, params))  # noqa: E731
+    cdf = momentum_cdf(params)
+    density = lambda q: float(cdf.pdf(q))  # noqa: E731
     quadrature = [0.5 + quad(density, 0.0, pk, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for pk in p]
-    np.testing.assert_allclose(momentum_cumulative(p, params), quadrature, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(cdf(p), quadrature, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("x_half, sigma", [(500.0, 5.0), (50.0, 0.1)])
@@ -499,14 +512,15 @@ def test_momentum_cumulative_properties(x_half, sigma):
     exp(-q^2 / 2 s^2) erfc(z) alone would give inf * 0.  The grid stops at
     36 sigma_p: beyond it F(p) is below the smallest normal double."""
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    cdf = momentum_cdf(params)
     p = np.linspace(-36.0, 36.0, 400_001) * params.sigma_p
-    f = momentum_cumulative(p, params)
+    f = cdf(p)
     assert np.all(np.isfinite(f))
     assert np.all(np.diff(f) >= 0.0)
-    np.testing.assert_allclose(momentum_cumulative(-p, params), 1.0 - f, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(cdf(-p), 1.0 - f, rtol=0.0, atol=1e-15)
     assert 0.0 < f[0] < 1e-280 and f[-1] == 1.0
-    assert np.all(np.isfinite(momentum_cumulative(np.array([-45.0, 45.0]) * params.sigma_p, params)))
-    np.testing.assert_array_equal(momentum_cumulative(np.array([-1e9, 1e9]), params), [0.0, 1.0])
+    assert np.all(np.isfinite(cdf(np.array([-45.0, 45.0]) * params.sigma_p)))
+    np.testing.assert_array_equal(cdf(np.array([-1e9, 1e9])), [0.0, 1.0])
 
 
 def _far_tails(half, width):
@@ -524,7 +538,7 @@ def test_mass_coordinate_far_tails_stay_in_unit_interval(x_half, sigma, t):
     noise; F_t must still lie in [0, 1] and never decrease."""
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
     for x in _far_tails(x_half, float(sigma_t(params, t))):
-        f = mass_coordinate(x, t, params)
+        f = position_cdf(params, t)(x)
         assert np.all((f >= 0.0) & (f <= 1.0))
         assert np.all(np.diff(f) >= 0.0)
 
@@ -533,7 +547,7 @@ def test_mass_coordinate_far_tails_stay_in_unit_interval(x_half, sigma, t):
 def test_momentum_cumulative_far_tails_stay_in_unit_interval(x_half, sigma):
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
     for p in _far_tails(0.0, params.sigma_p):
-        f = momentum_cumulative(p, params)
+        f = momentum_cdf(params)(p)
         assert np.all((f >= 0.0) & (f <= 1.0))
         assert np.all(np.diff(f) >= 0.0)
 
@@ -542,9 +556,10 @@ def test_momentum_cumulative_far_tails_stay_in_unit_interval(x_half, sigma):
 def test_momentum_cdf_quantile_round_trip(x_half, sigma, rng):
     params = DoubleSlitParams(x_half=x_half, sigma=sigma)
     u = np.concatenate([rng.uniform(0.0, 1.0, 4000), [1e-30, 1e-12, 0.5, 1.0 - 1e-12]])
-    p = momentum_cdf(params).quantile(u)
+    cdf = momentum_cdf(params)
+    p = cdf.quantile(u)
     assert np.all(np.isfinite(p))
-    assert np.max(np.abs(momentum_cumulative(p, params) - u)) <= 1e-12
+    assert np.max(np.abs(cdf(p) - u)) <= 1e-12
     assert np.all(np.diff(p[np.argsort(u)]) >= 0.0)
     p = momentum_cdf(params).quantile(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
     np.testing.assert_array_equal(p, [-np.inf, np.inf, -np.inf, np.inf, np.nan])
