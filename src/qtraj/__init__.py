@@ -32,8 +32,6 @@ from .sampling import (
     InitialCondition,
     SeededStream,
     make_initial_conditions,
-    sample_momenta,
-    sample_positions,
 )
 from .wavefield import (
     HBAR_NM2_ME_PS,
@@ -94,8 +92,6 @@ __all__ = [
     "rho",
     "rho_peak_bound",
     "run_ensemble",
-    "sample_momenta",
-    "sample_positions",
     "schrodinger_residual",
     "side_band_peak",
     "sigma_t",

@@ -42,7 +42,7 @@ from .ensemble import (
     side_band_peak,
     slice_values,
 )
-from .sampling import THEORIES, InitialCondition, SeededStream, sample_momenta, sample_positions
+from .sampling import THEORIES, SeededStream, make_initial_conditions
 from .wavefield import (
     HBAR_NM2_ME_PS,
     DoubleSlitParams,
@@ -349,6 +349,15 @@ def _utc_stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _numpy_exp_level() -> str:
+    """The SIMD path numpy's float64 exp dispatches to; the output bytes depend on it."""
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+    except ImportError:
+        return "unknown"
+    return opt_func_info(func_name="exp", signature="float64")["exp"]["dd"]["current"]
+
+
 def _manifest_text(
     echo: dict[str, str], started_utc: str, status_counts: dict[str, int], files: list[WrittenFile]
 ) -> str:
@@ -358,6 +367,7 @@ def _manifest_text(
         f"# version = {__version__}",
         f"# started_utc = {started_utc}",
         f"# finished_utc = {_utc_stamp()}",
+        f"# numpy_exp = {_numpy_exp_level()}",
     ]
     for status, count in sorted(status_counts.items()):
         lines.append(f"# status {status} = {count}")
@@ -483,8 +493,7 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
 
     x, t = _interior_points(params, 500, t_final, _CONTINUITY_BAND, h_x, rng)
     bound = _CONTINUITY_MARGIN * np.asarray(continuity_truncation_bound(x, t, params, h_x, h_t))
-    x0s = sample_positions(20, SeededStream(seed, 0), params, 0.0)
-    ics = InitialCondition(x0s, sample_momenta(20, SeededStream(seed, 1), params), 0.0, "revised")
+    ics = make_initial_conditions(20, SeededStream(seed, 0), params, 0.0, "revised")
     worst_ratio = 0.0
     for ic in ics:
         resid = np.abs(continuity_residual(x, t, params, h_x, h_t, lambda xx, tt: p_revised(xx, tt, ic, params)))

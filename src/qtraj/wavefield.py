@@ -168,7 +168,7 @@ def _position_law(params: DoubleSlitParams, t):
     """The density at time t as a two-packet law (center, width, wave, N):
     (x_half, sigma_t, x_half spread(t) / (2 sigma sigma_t^2), N)."""
     width = sigma_t(params, t)
-    wave = params.x_half * spread(params, t) / (2.0 * params.sigma * width) / width
+    wave = params.x_half * (spread(params, t) / width) / (2.0 * params.sigma * width)  # spread / sigma_t <= 1
     return params.x_half, width, wave, norm_constant(params)
 
 

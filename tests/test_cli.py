@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.introspect import opt_func_info
 
 from qtraj import DoubleSlitParams, EnsembleResult, default_config, default_histogram_specs, p_bb, rho, run_ensemble
 from qtraj import dynamics, ensemble, wavefield
@@ -222,6 +223,8 @@ def test_manifest_reparses_to_same_config(run_dir):
 
 
 def test_rerun_from_manifest_reproduces_digests(run_dir, tmp_path):
+    """Re-running from a manifest gives the same bytes; each manifest names
+    the SIMD path of numpy's exp that made them, on a comment line."""
     out, _ = run_dir
     rc = main(["run", "--config", str(out / "manifest.txt"), "--out", str(tmp_path / "redo")])
     assert rc == 0
@@ -229,6 +232,10 @@ def test_rerun_from_manifest_reproduces_digests(run_dir, tmp_path):
         assert hashlib.sha256((tmp_path / "redo" / name).read_bytes()).hexdigest() == hashlib.sha256(
             (out / name).read_bytes()
         ).hexdigest()
+    level = opt_func_info(func_name="exp", signature="float64")["exp"]["dd"]["current"]
+    for manifest in (out / "manifest.txt", tmp_path / "redo" / "manifest.txt"):
+        lines = manifest.read_text(encoding="ascii").splitlines()
+        assert lines.count(f"# numpy_exp = {level}") == 1
 
 
 def test_run_worker_count_does_not_change_output(tmp_path):
@@ -437,15 +444,37 @@ def test_record_grid_too_large_exits_cleanly(tmp_path, capsys, t_final, rc):
     assert rc != 2 or "'dt_ps'" in err
 
 
-@pytest.mark.parametrize("t0,rc", [("-1e300", 0), ("-7e305", 2), ("-1e306", 2)])
-def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, rc):
-    """A t0 at which the position law overflows is rejected naming t0_ps:
-    beyond about 6.2e305 ps its half-wavenumber's x_half spread(t0) does,
-    and beyond 7.8e305 ps its far bracket x_half + 40 sigma_t(t0).  One
-    inside runs to the end with no warning, and every dbb lane keeps its
-    mass coordinate: F_5(x) = F_t0(x0) to 1e-12."""
+#: The half-wavenumber x_half spread(t) / (2 sigma sigma_t^2) overflows where the
+#: far bracket does not: at X = 1e150 nm, sigma = 1e-150 nm it is inf at t = 1e-302 ps.
+_HALF_WAVENUMBER_OVERFLOW = {"x_half_nm": "1e150", "sigma_nm": "1e-150", "t_final_ps": "1e-302"}
+
+
+@pytest.mark.parametrize(
+    "t0,physics,rc,key",
+    [
+        ("-1e300", {}, 0, None),
+        ("-7e305", {}, 0, None),
+        ("-1e306", {}, 2, "t0_ps"),
+        ("0", _HALF_WAVENUMBER_OVERFLOW, 2, "t_final_ps"),
+    ],
+    ids=["-1e300-0", "-7e305-0", "-1e306-2", "half-wavenumber-2"],
+)
+def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, physics, rc, key):
+    """A time at which the position law overflows is rejected naming its key:
+    at the paper's physics, beyond about 7.8e305 ps its far bracket x_half +
+    40 sigma_t(t0) does; its half-wavenumber, formed as x_half (spread /
+    sigma_t) / (2 sigma sigma_t), overflows first only where x_half / sigma is
+    near the top of the doubles.  A t0 inside runs to the end with no warning,
+    and every dbb lane keeps its mass coordinate: F_5(x) = F_t0(x0) to 1e-12."""
+    t_final = float(physics.get("t_final_ps", 5.0))
     path = _write_config(
-        tmp_path, theory="dbb", t0_ps=t0, dt_ps=str(5.0 - float(t0)), slices_ps=f"{t0}, 5", n_traj=16
+        tmp_path,
+        theory="dbb",
+        t0_ps=t0,
+        dt_ps=str(t_final - float(t0)),
+        slices_ps=f"{t0}, {t_final!r}",
+        n_traj=16,
+        **physics,
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -454,7 +483,7 @@ def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, rc):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == rc, done.stderr
     if rc == 2:
-        assert done.stderr.startswith("error: config key 't0_ps'") and done.stderr.count("\n") == 1
+        assert done.stderr.startswith(f"error: config key '{key}'") and done.stderr.count("\n") == 1
         return
     assert done.stderr == ""
     samples = np.loadtxt(tmp_path / "o" / "trajectories.csv", delimiter=",", skiprows=1, usecols=(1, 2))

@@ -3,7 +3,8 @@ imports a name it never uses, importing the CLI stays cheap, the ensemble
 module runs the exact-transport engine, both engines return one result
 type, the CLI writes every file through one hashing writer, and the wave
 field evaluates both laws through one density kernel and one CDF kernel,
-reached only through the law object."""
+reached only through the law object, and the sampler draws every stream of
+a batch from one Philox call."""
 
 import ast
 import os
@@ -168,3 +169,34 @@ def test_law_cdfs_go_through_the_law_object():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in deleted
     ]
     assert not defined, f"law functions outside the law object: {defined}"
+
+
+def test_every_stream_comes_from_one_philox_call(params, monkeypatch):
+    """A batch of 5000 streams builds exactly one ``np.random.Philox``; no
+    module mentions PCG64 or spawn_key, and none defines a single-stream
+    sampler or a per-stream generator."""
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    make_initial_conditions(5000, SeededStream(1, 0), params, 0.0, "revised")
+    assert len(built) == 1
+    mentions = [
+        f"{path.name}: {word}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for word in ("PCG64", "spawn_key")
+        if word in path.read_text(encoding="utf-8")
+    ]
+    assert not mentions, f"per-stream seeding is back: {mentions}"
+    defined = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("sample_positions", "sample_momenta"):
+                defined.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef) and node.name == "SeededStream":
+                defined += [f"{path.name}:SeededStream.{f.name}" for f in node.body if getattr(f, "name", None) == "generator"]
+    assert not defined, f"single-stream samplers are back: {defined}"

@@ -3,7 +3,8 @@ closed-form CDFs.
 
 The samplers are held to their target densities (chi-squared, moments),
 the batched sampler to a per-stream loop that inverts each stream's own
-draws, bit for bit, and the vectorised stream seeding to numpy's.
+draws, bit for bit, and the one-call Philox blocks to numpy's per-stream
+Philox generators.
 """
 
 import warnings
@@ -24,8 +25,6 @@ from qtraj import (
     make_initial_conditions,
     momentum_cdf,
     position_cdf,
-    sample_momenta,
-    sample_positions,
 )
 from qtraj import sampling
 from qtraj.dynamics import integrate_batch, rk4_batch
@@ -35,21 +34,49 @@ MOMENTUM_SECOND_MOMENT_REF = 33.50224233169468699
 CHI2_99_9 = chi2.ppf(0.999, df=49)
 
 
+def _philox(seed, index):
+    """numpy's own generator for stream ``index`` of ``seed``: Philox at
+    counter ``index`` under the seed's 2-word key."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=index))
+
+
+def _positions(n, stream, params, t0=0.0):
+    return make_initial_conditions(n, stream, params, t0, "revised").x0
+
+
+def _momenta(n, stream, params):
+    return make_initial_conditions(n, stream, params, 0.0, "revised").p0
+
+
 # ---------------------------------------------------------------------------
 # seeded streams
 # ---------------------------------------------------------------------------
 
 
 def test_stream_reproducible():
-    a = SeededStream(42).generator().uniform(size=8)
-    b = SeededStream(42).generator().uniform(size=8)
+    a = sampling._uniforms(SeededStream(42), 8)
+    b = sampling._uniforms(SeededStream(42), 8)
     np.testing.assert_array_equal(a, b)
 
 
 def test_stream_index_decorrelates():
-    a = SeededStream(42, 0).generator().uniform(size=8)
-    b = SeededStream(42, 1).generator().uniform(size=8)
-    assert not np.array_equal(a, b)
+    """Neighbouring streams, and one stream under neighbouring seeds, differ."""
+    a = sampling._uniforms(SeededStream(42, 0), 1)
+    for other in (SeededStream(42, 1), SeededStream(43, 0)):
+        assert not np.any(a == sampling._uniforms(other, 1))
+
+
+def test_stream_index_is_a_philox_counter(params):
+    """A stream index is a 256-bit Philox counter: -1 and 2**256 are refused,
+    and so is a batch that would run past the last counter."""
+    last = SeededStream(1, 2**256 - 1)
+    assert len(make_initial_conditions(1, last, params)) == 1
+    with pytest.raises(ValueError, match="^2 streams from index .* run past the last Philox counter$"):
+        make_initial_conditions(2, last, params)
+    for index in (-1, 2**256):
+        with pytest.raises(ValueError, match=r"^stream_index must lie in \[0, 2\*\*256\)"):
+            SeededStream(1, index)
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +85,13 @@ def test_stream_index_decorrelates():
 
 
 def test_sample_positions_reproducible(params):
-    a = sample_positions(1000, SeededStream(3), params)
-    b = sample_positions(1000, SeededStream(3), params)
+    a = _positions(1000, SeededStream(3), params)
+    b = _positions(1000, SeededStream(3), params)
     np.testing.assert_array_equal(a, b)
 
 
 def test_sample_positions_within_support(params):
-    x = sample_positions(20000, SeededStream(5), params)
+    x = _positions(20000, SeededStream(5), params)
     assert x.shape == (20000,)
     assert np.all(np.isfinite(x))
     assert np.max(np.abs(x)) < params.x_half + 10.0 * params.sigma
@@ -72,7 +99,7 @@ def test_sample_positions_within_support(params):
 
 def test_sample_positions_chi_squared(params):
     """50 equal-probability bins from the closed-form CDF; df=49."""
-    x = sample_positions(10**6, SeededStream(98), params)
+    x = _positions(10**6, SeededStream(98), params)
     edges = position_cdf(params, 0.0).quantile(np.linspace(0.0, 1.0, 51))
     counts, _ = np.histogram(x, bins=edges)
     expected = x.size / 50.0
@@ -81,7 +108,7 @@ def test_sample_positions_chi_squared(params):
 
 
 def test_sample_momenta_chi_squared(params):
-    p = sample_momenta(10**6, SeededStream(99), params)
+    p = _momenta(10**6, SeededStream(99), params)
     edges = momentum_cdf(params).quantile(np.linspace(0.0, 1.0, 51))
     counts, _ = np.histogram(p, bins=edges)
     expected = p.size / 50.0
@@ -90,15 +117,15 @@ def test_sample_momenta_chi_squared(params):
 
 
 def test_sample_momenta_second_moment(params):
-    p = sample_momenta(10**6, SeededStream(21), params)
+    p = _momenta(10**6, SeededStream(21), params)
     # SE of the mean of p^2 at n=1e6 is about 0.05; allow 6 sigma
     assert np.mean(p * p) == pytest.approx(MOMENTUM_SECOND_MOMENT_REF, abs=0.35)
 
 
 def test_sample_positions_time_dependent_width(params):
     """Sampling at a later t0 must follow the dispersed density."""
-    x5 = sample_positions(10**5, SeededStream(31), params, t0=5.0)
-    x0 = sample_positions(10**5, SeededStream(31), params, t0=0.0)
+    x5 = _positions(10**5, SeededStream(31), params, t0=5.0)
+    x0 = _positions(10**5, SeededStream(31), params, t0=0.0)
     # variance grows by sigma_t(5)^2 - sigma^2 per packet
     assert np.var(x5) > np.var(x0) + 500.0
     val, _ = quad(lambda xx: rho(xx, 5.0, params), -450.0, 450.0, limit=400)
@@ -164,7 +191,7 @@ def test_make_initial_conditions_records_t0(params):
 
 
 def test_momentum_density_positive_where_sampled(params):
-    p = sample_momenta(5000, SeededStream(77), params)
+    p = _momenta(5000, SeededStream(77), params)
     assert np.all(momentum_cdf(params).pdf(p) > 0.0)
 
 
@@ -180,7 +207,7 @@ def _reference_initial_conditions(n, stream, params, t0, theory):
     x = np.empty(n)
     p = np.empty(n)
     for i in range(n):
-        rng = SeededStream(stream.master_seed, stream.stream_index + i).generator()
+        rng = _philox(stream.master_seed, stream.stream_index + i)
         x[i] = positions.quantile(max(rng.random(), 2.0**-54))
         if theory == "revised":
             p[i] = momenta.quantile(max(rng.random(), 2.0**-54))
@@ -206,9 +233,9 @@ def _batched(n, stream, params, t0, theory):
     theory=st.sampled_from(["dbb", "revised"]),
 )
 def test_make_initial_conditions_matches_per_stream_loop(seed, n, ratio, mass, t0, theory):
-    """Bit for bit, across chunk boundaries: the quantile of each entry
-    depends only on its own draw, so inverting a block of draws at once
-    gives what inverting each stream's draws alone gives."""
+    """Bit for bit: the quantile of each entry depends only on its own draw,
+    so inverting every stream's draws at once gives what inverting each
+    stream's draws alone gives."""
     params = DoubleSlitParams(x_half=ratio * 10.0, sigma=10.0, mass=mass)
     stream = SeededStream(seed, 3)
     x, p = _batched(n, stream, params, t0, theory)
@@ -240,21 +267,17 @@ class _NanAt:
 
 @pytest.mark.parametrize("observable", ["position", "momentum"])
 def test_nan_quantile_names_its_stream(params, monkeypatch, observable):
-    """A nan quantile at one draw -- stream 707's, in the middle of a chunk
-    -- raises naming that stream, in the batched sampler and in the
-    one-stream sampler, instead of passing a nan start on."""
-    u, w = SeededStream(5, 707).generator().random(2)
+    """A nan quantile at one draw -- stream 707's, in the middle of the
+    batch -- raises naming that stream instead of passing a nan start on."""
+    u, w = _philox(5, 707).random(2)
     if observable == "position":
         monkeypatch.setattr(sampling, "position_cdf", lambda pr, t: _NanAt(position_cdf(pr, t), [u]))
-        draw, what = sample_positions, r"position draw at t0=0\.0"
+        what = r"position draw at t0=0\.0"
     else:
-        # the batched sampler inverts w, the one-stream sampler u
-        monkeypatch.setattr(sampling, "momentum_cdf", lambda pr: _NanAt(momentum_cdf(pr), [u, w]))
-        draw, what = sample_momenta, "momentum draw"
+        monkeypatch.setattr(sampling, "momentum_cdf", lambda pr: _NanAt(momentum_cdf(pr), [w]))
+        what = "momentum draw"
     with pytest.raises(ValueError, match=f"^{what} is not finite on stream 707$"):
         make_initial_conditions(1000, SeededStream(5, 7), params, 0.0, "revised")
-    with pytest.raises(ValueError, match=f"^{what} is not finite on stream 707$"):
-        draw(1, SeededStream(5, 707), params)
 
 
 @pytest.mark.parametrize("theory", ["dbb", "revised"])
@@ -263,7 +286,7 @@ def test_start_below_the_node_floor_is_left_to_the_engines(params, monkeypatch, 
     floor (|x| > 122.45 nm at t0 = 0): the sampler returns it, and the
     engines' start-up, the one place that decides where the field is
     defined, raises."""
-    monkeypatch.setattr(sampling, "_uniforms", lambda stream, n, per_stream: np.full((n, per_stream), 1e-14))
+    monkeypatch.setattr(sampling, "_uniforms", lambda stream, n: np.full((n, 2), 1e-14))
     ics = make_initial_conditions(1, SeededStream(1), params, 0.0, theory)
     ic = ics[0]
     assert ic.x0 < -122.45 and rho(ic.x0, 0.0, params) < node_floor(params, 0.0)
@@ -273,31 +296,33 @@ def test_start_below_the_node_floor_is_left_to_the_engines(params, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# stream states derived a chunk at a time
+# every stream's block from one Philox call
 # ---------------------------------------------------------------------------
 
-#: Master seeds of one to three pool words, and of more words than the
-#: 4-word pool holds (above 2**128).
+#: Master seeds of one to three 32-bit words, and of more words than
+#: SeedSequence's 4-word pool holds (above 2**128).
 _MASTER_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(2**128, 2**200)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@example(seed=2**64 + 5, first=2**32 - 100, count=256)  # one chunk straddles 2**32
-@example(seed=2**130 + 7, first=2**32 - 1, count=2)
+@example(seed=2**64 + 5, first=2**32 - 100, count=256)  # the counter's low word carries
+@example(seed=2**130 + 7, first=2**64 - 3, count=8)  # the counter's first 64-bit word carries
 @example(seed=0, first=0, count=256)
 @given(
     seed=_MASTER_SEEDS,
-    first=st.integers(0, 2**20) | st.integers(2**32 - 300, 2**32 + 10) | st.integers(2**64 - 10, 2**70),
+    first=st.integers(0, 2**20) | st.integers(2**32 - 300, 2**32 + 10) | st.integers(2**64 - 300, 2**70),
     count=st.integers(1, 256),
 )
-def test_chunk_states_equal_per_stream_generators(seed, first, count):
-    states = sampling._pcg64_states(seed, first, count)
-    expected = [SeededStream(seed, i).generator().bit_generator.state for i in range(first, first + count)]
-    assert states == expected
+def test_uniforms_equal_per_stream_philox_generators(seed, first, count):
+    """Row i of the one-call draws is what numpy's own generator for stream
+    first + i returns from its first two ``random()`` calls."""
+    draws = sampling._uniforms(SeededStream(seed, first), count)
+    expected = np.array([_philox(seed, i).random(2) for i in range(first, first + count)])
+    np.testing.assert_array_equal(draws, expected)
 
 
 def test_make_initial_conditions_across_two_to_the_32(params):
-    """Chunks whose stream indices gain a second word midway still draw
+    """A batch whose stream counters carry past 2**32 midway still draws
     what the per-stream loop draws."""
     stream = SeededStream(2**130 + 3, 2**32 - 300)
     x, p = _batched(600, stream, params, 0.0, "revised")
@@ -309,9 +334,9 @@ def test_make_initial_conditions_across_two_to_the_32(params):
 @pytest.mark.parametrize(
     "draw,t0,ends",
     [
-        (lambda params, t0: sample_positions(1, SeededStream(1), params, t0), -1e300, "far field"),
+        (lambda params, t0: _positions(1, SeededStream(1), params, t0), -1e300, "far field"),
         (lambda params, t0: make_initial_conditions(2, SeededStream(1), params, t0, "dbb").x0, -1e160, "far field"),
-        (lambda params, t0: sample_positions(1, SeededStream(1), params, t0), -5e151, "returns"),
+        (lambda params, t0: _positions(1, SeededStream(1), params, t0), -5e151, "returns"),
     ],
     ids=["sample_positions-1e300", "make_initial_conditions-1e160", "sample_positions-5e151"],
 )
@@ -325,6 +350,6 @@ def test_position_draw_far_from_the_waist(params, draw, t0, ends):
         x = np.atleast_1d(draw(params, t0))
     assert np.all(np.isfinite(x))
     if ends == "far field":
-        u = np.array([SeededStream(1, i).generator().random() for i in range(x.size)])
+        u = np.array([_philox(1, i).random() for i in range(x.size)])
         p = momentum_cdf(params).quantile(u)
         np.testing.assert_allclose(params.mass * x / abs(t0), p, rtol=0.0, atol=1e-12 * params.sigma_p)
