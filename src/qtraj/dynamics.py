@@ -37,6 +37,7 @@ import numpy as np
 
 from .sampling import InitialCondition
 from .wavefield import (
+    ClosedFormCDF,
     DoubleSlitParams,
     GuidanceField,
     NodeSingularity,
@@ -69,6 +70,10 @@ STATUS_STALLED = "node_stalled"
 
 #: Gauss-Legendre rule for the time integral of rho over each record interval.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+#: The exact transport advances a block of record times at once, about this
+#: many lanes x records, so each CDF inversion works on one large array.
+_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -224,30 +229,39 @@ def integrate_batch(
     drift = None if field.delta_p is None else field.delta_p / params.mass
     swept = np.zeros(n)  # integral of rho(x0, s) ds from t0 to the last record
     active = np.ones(n, dtype=bool)
-    for r in range(1, len(times)):
+    first = 1  # the block's first record
+    while first < len(times):
         lanes = np.flatnonzero(active)
         if lanes.size == 0:
             break
-        t_lo, t_hi = times[r - 1], times[r]
-        u = u_start[lanes]
+        block = np.arange(first, min(len(times), first + max(1, _BLOCK_POINTS // lanes.size)))
+        t_hi = times[block]
+        u = np.broadcast_to(u_start[lanes], (block.size, lanes.size))
         if drift is not None:
-            half = 0.5 * (t_hi - t_lo)
-            anchors = x0[lanes]
-            densities = rho(anchors, t_lo + half * (_GL_NODES[:, None] + 1.0), params)  # (8, lanes)
-            piece = sum(weight * row for weight, row in zip(_GL_WEIGHTS, densities))  # in node order
-            swept[lanes] += half * piece
-            u = u + drift[lanes] * swept[lanes]
-        x = position_cdf(params, t_hi).quantile(u)
+            half = 0.5 * (t_hi - times[block - 1])
+            nodes = times[block - 1, None] + half[:, None] * (_GL_NODES + 1.0)  # (records, 8)
+            densities = rho(x0[lanes], nodes[:, :, None], params)  # (records, 8, lanes)
+            piece = sum(weight * densities[:, k] for k, weight in enumerate(_GL_WEIGHTS))  # in node order
+            sweep = np.empty((block.size, lanes.size))
+            running = swept[lanes]
+            for row in range(block.size):  # record by record, as the integral grows
+                running = running + half[row] * piece[row]
+                sweep[row] = running
+            swept[lanes] = running
+            u = u + drift[lanes] * sweep
+        x = ClosedFormCDF.stack([position_cdf(params, t) for t in t_hi]).quantile(u)
         with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
-            p, valid = field(x, t_hi, lanes)
-        keep = np.isfinite(x) & valid
-        stop = lanes[~keep]
+            p, valid = field(x, t_hi[:, None], lanes)
+        # each lane keeps the records before its first failing one
+        kept = np.logical_and.accumulate(np.isfinite(x) & valid, axis=0)
+        count = np.count_nonzero(kept, axis=0)
+        rec_x[lanes, first : first + block.size] = np.where(kept, x, np.nan).T
+        rec_p[lanes, first : first + block.size] = np.where(kept, p, np.nan).T
+        rec_n[lanes] = first + count
+        stop = lanes[count < block.size]
         status[stop] = STATUS_STALLED
         active[stop] = False
-        kept = lanes[keep]
-        rec_x[kept, r] = x[keep]
-        rec_p[kept, r] = p[keep]
-        rec_n[kept] = r + 1
+        first += block.size
     return columns
 
 

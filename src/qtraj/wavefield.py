@@ -28,6 +28,7 @@ All operations accept scalars or numpy arrays (broadcast) for ``x``,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -270,11 +271,12 @@ class ClosedFormCDF:
     The one way to evaluate a law's CDF, or its density at a fixed time.
     Two Gaussians of standard deviation ``width`` at +-``center`` interfere
     with fringes cos^2(wave x), over the squared norm ``norm`` (see
-    :func:`_density_terms`)."""
+    :func:`_density_terms`).  A stack of laws of one family (:meth:`stack`)
+    holds ``width`` and ``wave`` as columns, one row per member law."""
 
     center: float
-    width: float
-    wave: float
+    width: float | np.ndarray
+    wave: float | np.ndarray
     norm: float
 
     def __call__(self, x) -> np.ndarray:
@@ -285,6 +287,24 @@ class ClosedFormCDF:
         _, _, _, total, denom = _density_terms(x, self.center, self.width, self.wave, self.norm)
         return total / denom
 
+    @classmethod
+    def stack(cls, laws: Sequence[ClosedFormCDF]) -> ClosedFormCDF:
+        """One law object for laws of one family (equal center and norm): row
+        r of an argument of shape (len(laws), ...) goes to ``laws[r]``.  The
+        stack seeds :meth:`quantile` from its members' own tables, so each
+        member builds its table once, however many stacks it joins."""
+        first = laws[0]
+        if any(law.center != first.center or law.norm != first.norm for law in laws):
+            raise ValueError("a stack holds laws of one family: equal center and norm")
+        stacked = cls(
+            first.center,
+            np.array([law.width for law in laws])[:, None],
+            np.array([law.wave for law in laws])[:, None],
+            first.norm,
+        )
+        stacked.__dict__["_seed_table"] = tuple(map(np.stack, zip(*(law._seed_table for law in laws))))
+        return stacked
+
     @cached_property
     def _seed_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes, monotone F and density of the table that seeds :meth:`quantile`."""
@@ -294,7 +314,7 @@ class ClosedFormCDF:
     def quantile(self, u) -> np.ndarray:
         """Points x with F(x) = u, shaped like u: -inf for u <= 0, +inf for
         u >= 1, and nan for an entry whose inversion did not converge or
-        met a nan F.
+        met a nan F.  For a stack, u has one row per member law.
 
         A table of F and its density on ``_QUANTILE_TABLE_POINTS`` nodes
         over +-(center + 12 width) brackets each u and seeds it by monotone
@@ -303,45 +323,52 @@ class ClosedFormCDF:
         Newton steps x -= (F - u) / pdf then refine it inside the bracket,
         bisecting whenever a step would leave it, until an evaluation
         confirms |F(x) - u| <= ``_QUANTILE_TOL`` or the bracket spans
-        adjacent doubles.  Each entry's arithmetic depends only on its own
-        u, not on the other entries.  The table is built on the first call
-        and kept.
+        adjacent doubles.  All entries of all rows share one Newton pass, but
+        each entry's arithmetic depends only on its own u and law, not on
+        the other entries.  The table is built on the first call and kept.
         """
         shape = np.shape(u)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        far = self.center + 40.0 * self.width
-        grid, table, slope = self._seed_table
+        grid, table, slope = (np.atleast_2d(column) for column in self._seed_table)  # (rows, points)
+        rows, points = grid.shape
+        u = np.asarray(u, dtype=float).reshape(rows, -1)
+        width = np.broadcast_to(np.reshape(self.width, (-1, 1)), u.shape)
+        wave = np.broadcast_to(np.reshape(self.wave, (-1, 1)), u.shape)
+        far = self.center + 40.0 * width
 
-        i = np.clip(np.searchsorted(table, u, side="right"), 0, grid.size)
-        lo = np.where(i > 0, grid[np.maximum(i - 1, 0)], -far)
-        hi = np.where(i < grid.size, grid[np.minimum(i, grid.size - 1)], far)
-        inside = (i > 0) & (i < grid.size)
-        j = np.clip(i - 1, 0, grid.size - 2)
-        f_lo, f_hi = table[j], table[j + 1]
-        step = grid[1] - grid[0]
+        i = np.stack([np.searchsorted(row, entries, side="right") for row, entries in zip(table, u)])
+        i = i.reshape(u.shape)  # also for u without entries
+        lo = np.where(i > 0, np.take_along_axis(grid, np.maximum(i - 1, 0), axis=1), -far)
+        hi = np.where(i < points, np.take_along_axis(grid, np.minimum(i, points - 1), axis=1), far)
+        inside = (i > 0) & (i < points)
+        j = np.clip(i - 1, 0, points - 2)
+        x_lo, x_hi = np.take_along_axis(grid, j, axis=1), np.take_along_axis(grid, j + 1, axis=1)
+        f_lo, f_hi = np.take_along_axis(table, j, axis=1), np.take_along_axis(table, j + 1, axis=1)
+        step = grid[:, 1:2] - grid[:, 0:1]
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             s = np.clip((u - f_lo) / (f_hi - f_lo), 0.0, 1.0)
             # Tangents dx/ds = (F_hi - F_lo) / pdf, capped at 3 steps so the
             # interpolant stays monotone and inside its bracket.
-            m_lo = np.minimum((f_hi - f_lo) / slope[j], 3.0 * step)
-            m_hi = np.minimum((f_hi - f_lo) / slope[j + 1], 3.0 * step)
+            m_lo = np.minimum((f_hi - f_lo) / np.take_along_axis(slope, j, axis=1), 3.0 * step)
+            m_hi = np.minimum((f_hi - f_lo) / np.take_along_axis(slope, j + 1, axis=1), 3.0 * step)
             s2, s3 = s * s, s * s * s
             seed = (
-                (2.0 * s3 - 3.0 * s2 + 1.0) * grid[j]
+                (2.0 * s3 - 3.0 * s2 + 1.0) * x_lo
                 + (s3 - 2.0 * s2 + s) * m_lo
-                + (-2.0 * s3 + 3.0 * s2) * grid[j + 1]
+                + (-2.0 * s3 + 3.0 * s2) * x_hi
                 + (s3 - s2) * m_hi
             )
         seed = np.where(inside & np.isfinite(seed), np.clip(seed, lo, hi), 0.5 * (lo + hi))
 
+        u, lo, hi, width, wave = (column.ravel() for column in (u, lo, hi, width, wave))
         active = (u > 0.0) & (u < 1.0)
-        x = np.where(active, seed, np.nan)
+        x = np.where(active, seed.ravel(), np.nan)
         for _ in range(_QUANTILE_MAX_ITER):
             lanes = np.flatnonzero(active)
             if lanes.size == 0:
                 break
             xa, ua, la, ha = x[lanes], u[lanes], lo[lanes], hi[lanes]
-            residual = self(xa) - ua
+            wa, ka = width[lanes], wave[lanes]
+            residual = ClosedFormCDF(self.center, wa, ka, self.norm)(xa) - ua
             hit = np.abs(residual) <= _QUANTILE_TOL
             undefined = np.isnan(residual)  # no bracket can close on it
             below = residual < 0.0
@@ -353,7 +380,7 @@ class ClosedFormCDF:
             x[lanes[undefined]] = np.nan
             go = ~finished
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                newton = xa[go] - residual[go] / self.pdf(xa[go])
+                newton = xa[go] - residual[go] / ClosedFormCDF(self.center, wa[go], ka[go], self.norm).pdf(xa[go])
             ok = np.isfinite(newton) & (newton > la[go]) & (newton < ha[go])
             x[lanes[go]] = np.where(ok, newton, 0.5 * (la[go] + ha[go]))
         x[active] = np.nan  # never confirmed
