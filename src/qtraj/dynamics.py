@@ -12,6 +12,9 @@ revised correction adds an x-independent term to the probability flux.
 :func:`integrate_batch` builds trajectories from that identity: each
 recorded position is the quantile of the closed-form position CDF, and a
 trajectory whose right-hand side leaves (0, 1) has escaped to infinity.
+It works on blocks of record times: the right-hand sides of a whole block
+come first, then one inversion of the block's stacked position laws, so
+each CDF evaluation runs on one large array.
 
 :func:`rk4_batch` integrates the same equation with classical
 fourth-order Runge-Kutta on a fixed base grid, with dyadic halving of the
@@ -211,14 +214,21 @@ def integrate_batch(
     shares; no step loop runs, so RK4's step control plays no part.  At each
     record the target u = F_0(x0) + (delta_p / m) * integral of rho(x0, s)
     is advanced by an 8-point Gauss-Legendre rule over the record interval,
-    whose 8 nodes are evaluated in one broadcast call and summed in node
-    order, and x is the inverse of the closed-form mass coordinate at u.
-    A lane whose u leaves (0, 1) has escaped to infinity and stops at its last
-    record in range, marked ``node_stalled``; so does a lane whose inverse
-    does not converge or whose x sits below the node floor, where no
-    momentum is defined.  Momenta are the guidance field at the exact x.
-    Every lane's records are a prefix of the one grid, so the batch comes
-    back as columns.
+    and x is the inverse of the closed-form mass coordinate at u.
+
+    The active lanes advance a block of record times at once, about
+    ``_BLOCK_POINTS`` lanes x records: rho at the 8 nodes of every record of
+    the block in one broadcast call, each record's nodes summed in node
+    order and the pieces added record by record, as one record at a time
+    would; then the block's position laws, stacked, are inverted in one
+    Newton pass, each record time seeded from its own cached table.  A lane
+    keeps the records before its first failing one in the block, and stops
+    there marked ``node_stalled``: where its u leaves (0, 1) (it has
+    escaped to infinity), where its inverse is not finite (it did not
+    converge), or where its x sits below the node floor (no momentum is
+    defined).  Momenta are the guidance field at the exact x.  Every lane's
+    records are a prefix of the one grid, so the batch comes back as
+    columns.
     """
     field, columns = _start(ics, schedule, params)
     times, rec_x, rec_p, rec_n, status = columns.t, columns.x, columns.p, columns.n_records, columns.status

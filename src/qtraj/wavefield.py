@@ -11,13 +11,19 @@ form, never finite differences.  Both densities are one two-packet law
 is its far-field limit (0, sigma_p, x_half / hbar, N).  Each law is one
 :class:`ClosedFormCDF` object, from :func:`position_cdf` or
 :func:`momentum_cdf`: its call is the CDF, ``.pdf`` the density and
-``.quantile`` the checked inverse.  :func:`rho` is the position density
-that also broadcasts over t.  Every density goes through one real kernel
-(:func:`_density_terms`) and every CDF through one Faddeeva kernel
-(:func:`_cumulative`); one :class:`GuidanceField` evaluation gives the
+``.quantile`` the checked inverse; :meth:`ClosedFormCDF.stack` makes one
+law object of laws with equal center and norm (the position laws of one
+physics at several times), whose quantile inverts them all in one Newton
+pass.  :func:`rho` is the position density that also broadcasts over t.
+Every density goes through one real kernel (:func:`_density_terms`) and
+every CDF through one closed form (:func:`_cumulative`), whose Faddeeva
+function is Weideman's rational series in numpy (:func:`_faddeeva`), so
+this module needs no scipy; one :class:`GuidanceField` evaluation gives the
 density, its node-floor mask and both guidance laws.
 Complex arithmetic remains only in ``psi``, ``packet_amplitude`` and the
-Schrodinger residual, and in the CDF kernel's Faddeeva term.
+Schrodinger residual, and in the CDF's fringe term, where the series runs
+on complex arguments; for the CDF's Gaussian terms it runs in real
+arithmetic.
 
 Finite-difference residual instruments (free Schrodinger equation,
 continuity equation) live here too, but they are verification tools only.
@@ -33,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtr, wofz
 
 # CODATA 2018: hbar = 1.054571817e-34 J s (from the exact 2019 SI value of h),
 # m_e = 9.1093837015(28)e-31 kg.  In nm/ps/m_e units hbar/m_e comes out near
@@ -65,6 +70,31 @@ _POSITION_CDF_CACHE = 128
 
 #: Smallest normal double; a CDF tail below it has no significant digits left.
 _TINY = float(np.finfo(float).tiny)
+
+#: Weideman's rational series for the Faddeeva function with N = 40 terms
+#: (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)):
+#: w(z) = [1 / sqrt(pi) + 2 sum_{n=1}^{N} a_n Z^(n-1) / (L - iz)] / (L - iz),
+#: Z = (L + iz) / (L - iz), L = sqrt(N / sqrt 2), and
+#: a_n = (1 / 4N) sum_{|k| < 2N} exp(-t_k^2) (L^2 + t_k^2) cos(pi n k / 2N),
+#: t_k = L tan(pi k / 4N); the a_n below are rounded from 50 digits.
+_WEIDEMAN_L = 5.3182958969449885
+_WEIDEMAN_A = (
+    2.8996245093897053, 2.61605415276186, 2.201513794878312, 1.7253830848179779,
+    1.2563815675765133, 0.8472174576593818, 0.5266528988277086, 0.29989437996150065,
+    0.15504263802479495, 0.07182361779074337, 0.029202916471241867, 0.010048186242783424,
+    0.0027054056330737914, 0.0004398070159869668, -3.939363145489569e-05, -5.591309264248318e-05,
+    -1.8007447144750956e-05, -1.0660138984947143e-06, 1.483566113220078e-06, 5.912136951899494e-07,
+    1.4198642399935674e-08, -6.35177348504429e-08, -1.8315616783040462e-08, 3.2497465180436973e-09,
+    3.0177805400090707e-09, 2.1086006347066517e-10, -3.5632339865976533e-10, -9.055124450928292e-11,
+    3.47272670930455e-11, 1.7714495214011192e-11, -2.7276023158200452e-12, -2.907688342182867e-12,
+    1.2031458219387989e-13, 4.5329666782606727e-13, 1.37256205867155e-14, -7.074086260286855e-14,
+    -5.409310282882142e-15, 1.1357687198999241e-14, 1.128073562364402e-15, -1.899694947394927e-15,
+)
+#: The a_n as 0-d arrays of each dtype the series runs in, which numpy adds
+#: with less overhead per call than Python floats.
+_WEIDEMAN_TERMS = {np.dtype(kind): tuple(np.array(a, dtype=kind) for a in _WEIDEMAN_A) for kind in (float, complex)}
+_INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class NodeSingularity(Exception):
@@ -238,29 +268,53 @@ def _flush_tail(lower):
     return np.where(lower < _TINY, 0.0, lower)
 
 
+def _faddeeva(zeta):
+    """The Faddeeva function w(i zeta) = exp(zeta^2) erfc(zeta), for Re zeta >= 0.
+
+    Weideman's series with z = i zeta, so L - iz = L + zeta; elementwise,
+    and in real arithmetic for a real zeta, where it is erfcx(zeta).  Each
+    Horner product goes to a buffer distinct from its operands: numpy may
+    round an in-place complex product differently from the same product in
+    a batch, and every lane must get the same bits alone as in a batch.
+    """
+    denom = _WEIDEMAN_L + zeta
+    ratio = (_WEIDEMAN_L - zeta) / denom
+    terms = _WEIDEMAN_TERMS[ratio.dtype]
+    series, product = np.full_like(ratio, terms[-1]), np.empty_like(ratio)
+    for a in terms[-2::-1]:
+        np.multiply(series, ratio, out=product)
+        np.add(product, a, out=series)
+    return (2.0 * series / denom + _INV_SQRT_PI) / denom
+
+
 def _cumulative(x, center, width, wave, norm):
     """CDF of a two-packet law (see :func:`_density_terms`) at x, in closed form.
 
     In the scaled variables q = x / width, g = center / width and k = wave
-    width, each packet contributes a Gaussian CDF, ndtr((x -+ center) /
-    width) (formed before the division, so no digits cancel), and the
+    width, each packet contributes a Gaussian CDF ndtr((x -+ center) /
+    width), formed before the division so no digits cancel, and the
     interference term 2 a b cos(2 wave x) integrates to a complex erfc,
-    exp(-(q^2 + g^2) / 2) Re[exp(2ikq) w(-(2k + iq) / sqrt 2)], whose large
-    exponential prefactor is folded into the Faddeeva function w(z) =
-    exp(-z^2) erfc(-iz).  So nothing overflows at any center / width, and no
-    width^2 is formed.  The law is mirror symmetric, so only x <= 0 is
-    evaluated and F(x) = 1 - F(-x) gives the rest; there the Faddeeva
-    argument lies in the upper half plane, where |w| <= 1.  The value always
-    lies in [0, 1] (see :func:`_flush_tail`).
+    exp(-(q^2 + g^2) / 2) Re[exp(2ikq) w(i zeta)] with zeta = (-q + 2ik) /
+    sqrt 2, whose large exponential prefactor is folded into the Faddeeva
+    function w.  So nothing overflows at any center / width, and no width^2
+    is formed.  The law is mirror symmetric, so only x <= 0 is evaluated and
+    F(x) = 1 - F(-x) gives the rest; there Re zeta >= 0, where |w| <= 1.
+    :func:`_faddeeva` gives w twice per evaluation: at zeta, in complex
+    arithmetic, and on the imaginary axis, in real arithmetic, for both
+    Gaussian terms at once: ndtr(y) = exp(-s^2) w(i |s|) / 2 with s = -y /
+    sqrt 2, or 1 minus that for y > 0.  The value always lies in [0, 1] (see
+    :func:`_flush_tail`).
     """
     x = np.asarray(x, dtype=float)
     left = -np.abs(x)
     q, g, k = left / width, center / width, wave * width
+    s = np.stack(((left - center) / width, (left + center) / width)) * -_SQRT_HALF
     with np.errstate(under="ignore"):
-        fringe = np.real(np.exp(2.0j * k * q) * wofz(-(2.0 * k + 1.0j * q) / np.sqrt(2.0)))
+        fringe = np.real(np.exp(2.0j * k * q) * _faddeeva((-q + 2.0j * k) * _SQRT_HALF))
         cross = np.exp(-0.5 * (q * q + g * g)) * fringe
-    direct = ndtr((left - center) / width) + ndtr((left + center) / width)
-    lower = _flush_tail((direct + cross) / norm)
+        tails = 0.5 * np.exp(-s * s) * _faddeeva(np.abs(s))
+    gauss = np.where(s < 0.0, 1.0 - tails, tails)
+    lower = _flush_tail((gauss[0] + gauss[1] + cross) / norm)
     return np.where(x > 0.0, 1.0 - lower, lower)
 
 
@@ -302,6 +356,7 @@ class ClosedFormCDF:
             np.array([law.wave for law in laws])[:, None],
             first.norm,
         )
+        # fill the cached property, which the stack would otherwise build from its own rows
         stacked.__dict__["_seed_table"] = tuple(map(np.stack, zip(*(law._seed_table for law in laws))))
         return stacked
 
@@ -336,7 +391,6 @@ class ClosedFormCDF:
         far = self.center + 40.0 * width
 
         i = np.stack([np.searchsorted(row, entries, side="right") for row, entries in zip(table, u)])
-        i = i.reshape(u.shape)  # also for u without entries
         lo = np.where(i > 0, np.take_along_axis(grid, np.maximum(i - 1, 0), axis=1), -far)
         hi = np.where(i < points, np.take_along_axis(grid, np.minimum(i, points - 1), axis=1), far)
         inside = (i > 0) & (i < points)

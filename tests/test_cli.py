@@ -238,6 +238,40 @@ def test_rerun_from_manifest_reproduces_digests(run_dir, tmp_path):
         assert lines.count(f"# numpy_exp = {level}") == 1
 
 
+#: numpy's SIMD paths above the x86-64 baseline, for one process; numpy
+#: ignores the names a host lacks.
+_BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
+@pytest.mark.parametrize("theory", ["dbb", "revised"])
+def test_baseline_simd_run_matches_in_process_run(tmp_path, theory):
+    """A run in a process held to numpy's baseline SIMD paths gives the
+    statuses and histogram bytes of an in-process run, and positions within
+    2^10 ulp of max(|x|, sigma).  The positions are not bit-equal on a host
+    with AVX2 or AVX-512: there numpy's exp and complex products round
+    differently, and the quantile may stop anywhere |F(x) - u| <= 1e-14."""
+    cfg = _write_config(tmp_path, n_traj=256, dt_ps=0.125, theory=theory, seed=1, slices_ps="0, 2.5, 5")
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "here")]) == 0
+    env = dict(os.environ, **_BASELINE_SIMD)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "qtraj.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "there")],
+        env=env, capture_output=True, check=True, timeout=120,
+    )
+    manifest = (tmp_path / "there" / "manifest.txt").read_text(encoding="ascii")
+    assert "# numpy_exp = X86_V" not in manifest  # the setting took effect
+    assert (tmp_path / "here" / "histograms.txt").read_bytes() == (tmp_path / "there" / "histograms.txt").read_bytes()
+    here, there = (
+        np.genfromtxt(tmp_path / side / "trajectories.csv", delimiter=",", names=True, dtype=None, encoding="ascii")
+        for side in ("here", "there")
+    )
+    for column in ("traj_id", "t", "status"):
+        np.testing.assert_array_equal(here[column], there[column])
+    scale = np.spacing(np.maximum(np.abs(here["x"]), parse_config(cfg).params.sigma))
+    assert np.max(np.abs(here["x"] - there["x"]) / scale) <= 2.0**10
+
+
 def test_run_worker_count_does_not_change_output(tmp_path):
     digests = []
     for workers, sub in ((1, "w1"), (3, "w3")):

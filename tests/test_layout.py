@@ -1,10 +1,10 @@
 """Module layout: no module reaches into a sibling's private names or
-imports a name it never uses, importing the CLI stays cheap, the ensemble
-module runs the exact-transport engine, both engines return one result
-type, the CLI writes every file through one hashing writer, and the wave
-field evaluates both laws through one density kernel and one CDF kernel,
-reached only through the law object, and the sampler draws every stream of
-a batch from one Philox call."""
+imports a name it never uses, importing the CLI loads no scipy, the
+ensemble module runs the exact-transport engine, both engines return one
+result type, the CLI writes every file through one hashing writer, and the
+wave field evaluates both laws through one density kernel and one CDF
+kernel with one Faddeeva series, reached only through the law object, and
+the sampler draws every stream of a batch from one Philox call."""
 
 import ast
 import os
@@ -21,10 +21,6 @@ from qtraj import SeededStream, make_initial_conditions
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qtraj"
 _SOURCES = sorted(path for path in _PACKAGE.glob("*.py") if path.name != "__init__.py")
-
-#: scipy subpackages that cost a run's start-up far more than its work at the
-#: benchmark sizes; scipy.integrate alone pulls in the other two.
-_HEAVY_AT_IMPORT = ("scipy.integrate", "scipy.sparse", "scipy.optimize")
 
 
 def _is_private(name: str) -> bool:
@@ -82,11 +78,24 @@ def test_no_module_level_scipy_integrate(path):
     assert not found, f"{path.name} imports scipy.integrate at module level: {found}"
 
 
+def test_no_module_imports_scipy_at_module_level():
+    """scipy costs a run's start-up more than its work at the benchmark
+    sizes, so only a function that needs it (``verify``'s ``quad``) imports it."""
+    found = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in _module_level(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert not found, f"scipy imported at module level: {found}"
+
+
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    """A fresh interpreter that imports qtraj.cli has loaded none of these."""
+    """A fresh interpreter that imports qtraj.cli has loaded no scipy module at all."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")]))
-    probe = f"import sys, qtraj.cli; print(' '.join(m for m in {_HEAVY_AT_IMPORT!r} if m in sys.modules))"
+    probe = "import sys, qtraj.cli; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     loaded = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     ).stdout.split()
@@ -135,16 +144,27 @@ def test_cli_writes_only_through_the_hashing_writer():
 
 
 def test_wavefield_has_one_density_kernel_and_one_cdf_kernel():
-    """In wavefield.py only ``_cumulative`` calls ``wofz`` and ``ndtr``, and
-    only ``_density_terms`` calls ``np.cos``, so both laws' densities and
-    CDFs share one real kernel and one Faddeeva kernel."""
-    owners = {"wofz": "_cumulative", "ndtr": "_cumulative", "cos": "_density_terms"}
+    """In wavefield.py only ``_cumulative`` calls ``_faddeeva``, only
+    ``_faddeeva`` reads the coefficients of Weideman's series, and only
+    ``_density_terms`` calls ``np.cos``, so both laws' densities and CDFs
+    share one real kernel and one Faddeeva kernel, and the series lives in
+    one function."""
+    owners = {"_faddeeva": "_cumulative", "cos": "_density_terms"}
     offenders = [
         f"{where}:{line} calls {name}"
         for where, name, line in _calls(_PACKAGE / "wavefield.py")
         if name in owners and where != owners[name]
     ]
     assert not offenders, f"wavefield.py evaluates a law outside its kernels: {offenders}"
+    tree = ast.parse((_PACKAGE / "wavefield.py").read_text(encoding="utf-8"))
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id.startswith("_WEIDEMAN")
+    }
+    assert readers == {"_faddeeva"}, f"Weideman's series is read by {sorted(readers)}"
 
 
 def test_law_cdfs_go_through_the_law_object():

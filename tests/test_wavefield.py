@@ -14,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
-from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity
+from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity, wavefield
 from qtraj.wavefield import (
     HBAR_NM2_ME_PS,
     NODE_FLOOR_RELATIVE,
     _QUANTILE_TOL,
     ClosedFormCDF,
     GuidanceField,
+    _faddeeva,
     _prefactor,
     continuity_residual,
     continuity_truncation_bound,
@@ -609,6 +610,79 @@ def test_cdfs_match_high_precision_reference(name):
         lower, reference = np.array([_reference_cdf(xi, *law) for xi in x]).T
         assert np.max(np.abs(cdf(x) - reference)) <= 4.4e-16
         assert np.max(np.abs(cdf(-np.abs(x)) - lower) / lower) <= 1e-12
+
+
+def _polar(radius, angle):
+    return radius * np.exp(1j * angle)
+
+
+#: Fixed-seed points z of the upper half plane for the Faddeeva kernel: the
+#: fringe arguments of the paper's physics, and those of X / sigma = 50; the
+#: imaginary axis (the Gaussian terms); the real axis; and |z| up to 1e4.
+_FADDEEVA_REGIONS = {
+    "paper strip": lambda rng, m: rng.uniform(-3.6, 0.0, m) + 1j * rng.uniform(0.0, 30.0, m),
+    "X/sigma 50 strip": lambda rng, m: rng.uniform(-36.0, 0.0, m) + 1j * rng.uniform(0.0, 30.0, m),
+    "imaginary axis": lambda rng, m: 1j * rng.uniform(0.0, 40.0, m),
+    "near the real axis": lambda rng, m: rng.uniform(-40.0, 40.0, m) + 1j * rng.uniform(0.0, 1e-3, m),
+    "|z| to 1e4": lambda rng, m: _polar(10.0 ** rng.uniform(-3.0, 4.0, m), rng.uniform(0.0, np.pi, m)),
+}
+
+
+@pytest.mark.parametrize("region", list(_FADDEEVA_REGIONS))
+def test_faddeeva_matches_high_precision_reference(region):
+    """The kernel's w(z) agrees with a 50-digit exp(-z^2) erfc(-iz) to
+    1.5e-15 absolute and 2e-14 relative; on the imaginary axis it runs in
+    real arithmetic, as the Gaussian terms of the CDF call it."""
+    z = _FADDEEVA_REGIONS[region](np.random.default_rng(1994), 300)
+    with mpmath.workdps(50):
+        exact = np.array([complex(mpmath.exp(-mpmath.mpc(v) ** 2) * mpmath.erfc(-1j * mpmath.mpc(v))) for v in z])
+    if region == "imaginary axis":
+        w = _faddeeva(z.imag.copy())
+        assert w.dtype == np.float64
+    else:
+        w = _faddeeva(-1j * z)
+    error = np.abs(w - exact)
+    assert np.max(error) <= 1.5e-15
+    assert np.max(error / np.abs(exact)) <= 2e-14
+
+
+def test_cdfs_give_each_entry_its_batch_bits(params):
+    """Every one-element slice of a 3000-point batch gets the same bits from
+    either law alone as in the batch, so a lane's quantile does not depend on
+    the lanes it is inverted with."""
+    rng = np.random.default_rng(3000)
+    reach = params.x_half + 8.0 * float(sigma_t(params, 3.5))
+    cases = [(position_cdf(params, 3.5), rng.uniform(-reach, reach, 3000))]
+    cases.append((momentum_cdf(params), rng.uniform(-8.0, 8.0, 3000) * params.sigma_p))
+    for law, x in cases:
+        batch = law(x)
+        alone = np.concatenate([law(x[i : i + 1]) for i in range(x.size)])
+        np.testing.assert_array_equal(alone, batch)
+
+
+def test_stacked_laws_invert_as_their_members(params, monkeypatch):
+    """A stack of position laws gives each row its member law's CDF and
+    quantile bits, seeds from the members' own tables without building
+    another, and refuses laws of different families."""
+    times = (0.0, 0.125, 3.5, 5.0)
+    members = [position_cdf(params, t) for t in times]
+    tables = [member._seed_table for member in members]
+    monkeypatch.setattr(wavefield, "_quantile_table", None)  # a stack that builds a table fails
+    stack = ClosedFormCDF.stack(members)
+    for row, table in enumerate(tables):
+        for stacked, own in zip(stack._seed_table, table):
+            np.testing.assert_array_equal(stacked[row], own)
+    u = np.random.default_rng(4).uniform(0.0, 1.0, (len(times), 500))
+    u[:, :3] = [0.0, 1.0, np.nan]
+    x = stack.quantile(u)
+    reach = params.x_half + 8.0 * float(sigma_t(params, 5.0))
+    points = np.linspace(-reach, reach, 500)
+    values = stack(np.broadcast_to(points, u.shape))
+    for row, member in enumerate(members):
+        np.testing.assert_array_equal(x[row], member.quantile(u[row]))
+        np.testing.assert_array_equal(values[row], member(points))
+    with pytest.raises(ValueError):
+        ClosedFormCDF.stack([members[0], momentum_cdf(params)])
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
