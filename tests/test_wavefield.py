@@ -612,10 +612,6 @@ def test_cdfs_match_high_precision_reference(name):
         assert np.max(np.abs(cdf(-np.abs(x)) - lower) / lower) <= 1e-12
 
 
-def _polar(radius, angle):
-    return radius * np.exp(1j * angle)
-
-
 #: Fixed-seed points z of the upper half plane for the Faddeeva kernel: the
 #: fringe arguments of the paper's physics, and those of X / sigma = 50; the
 #: imaginary axis (the Gaussian terms); the real axis; and |z| up to 1e4.
@@ -624,7 +620,7 @@ _FADDEEVA_REGIONS = {
     "X/sigma 50 strip": lambda rng, m: rng.uniform(-36.0, 0.0, m) + 1j * rng.uniform(0.0, 30.0, m),
     "imaginary axis": lambda rng, m: 1j * rng.uniform(0.0, 40.0, m),
     "near the real axis": lambda rng, m: rng.uniform(-40.0, 40.0, m) + 1j * rng.uniform(0.0, 1e-3, m),
-    "|z| to 1e4": lambda rng, m: _polar(10.0 ** rng.uniform(-3.0, 4.0, m), rng.uniform(0.0, np.pi, m)),
+    "|z| to 1e4": lambda rng, m: 10.0 ** rng.uniform(-3.0, 4.0, m) * np.exp(1j * rng.uniform(0.0, np.pi, m)),
 }
 
 
