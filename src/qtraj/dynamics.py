@@ -13,8 +13,9 @@ revised correction adds an x-independent term to the probability flux.
 recorded position is the quantile of the closed-form position CDF, and a
 trajectory whose right-hand side leaves (0, 1) has escaped to infinity.
 It works on blocks of record times: the right-hand sides of a whole block
-come first, then one inversion of the block's stacked position laws, so
-each CDF evaluation runs on one large array.
+come first, then one inversion of the position law at the block's times
+(one law object, one law per time), so each CDF evaluation runs on one
+large array.
 
 :func:`rk4_batch` integrates the same equation with classical
 fourth-order Runge-Kutta on a fixed base grid, with dyadic halving of the
@@ -39,14 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import InitialCondition
-from .wavefield import (
-    ClosedFormCDF,
-    DoubleSlitParams,
-    GuidanceField,
-    NodeSingularity,
-    position_cdf,
-    rho,
-)
+from .wavefield import DoubleSlitParams, GuidanceField, NodeSingularity, position_cdf, rho
 
 #: Hard cap on step attempts per trajectory, as a multiple of the base-step
 #: count; a lane still unfinished after this many attempts is declared
@@ -184,8 +178,9 @@ def _start(
 ) -> tuple[GuidanceField, TrajectoryColumns]:
     """The guidance field of a batch and its columns on the record grid.
 
-    Each lane holds one record, its start position and field momentum at t0,
-    and status ``completed``.  The batch must start at the schedule's t0; raises
+    Each lane holds one record, its start position and momentum at t0 (the
+    drawn p0 under the revised law, the field's under Bohm's), and status
+    ``completed``.  The batch must start at the schedule's t0; raises
     :class:`NodeSingularity` if the field is undefined at a start position.
     """
     n, times = len(ics), schedule.record_times
@@ -199,7 +194,8 @@ def _start(
     p_start, valid0 = field(ics.x0, schedule.t0, np.arange(n))
     if not np.all(valid0):
         raise NodeSingularity("guidance field undefined at an initial condition")
-    columns.x[:, 0], columns.p[:, 0] = ics.x0, p_start
+    # the revised field at the anchor is p_bb + (p0 - p_bb), which can miss p0 by an ulp
+    columns.x[:, 0], columns.p[:, 0] = ics.x0, p_start if field.delta_p is None else ics.p0
     return field, columns
 
 
@@ -220,8 +216,9 @@ def integrate_batch(
     ``_BLOCK_POINTS`` lanes x records: rho at the 8 nodes of every record of
     the block in one broadcast call, each record's nodes summed in node
     order and the pieces added record by record, as one record at a time
-    would; then the block's position laws, stacked, are inverted in one
-    Newton pass, each record time seeded from its own cached table.  A lane
+    would; then ``position_cdf(params, t_hi[:, None])``, the position law
+    of the block's record times, is inverted in one Newton pass, each
+    record time seeded from its own cached table.  A lane
     keeps the records before its first failing one in the block, and stops
     there marked ``node_stalled``: where its u leaves (0, 1) (it has
     escaped to infinity), where its inverse is not finite (it did not
@@ -259,7 +256,7 @@ def integrate_batch(
                 sweep[row] = running
             swept[lanes] = running
             u = u + drift[lanes] * sweep
-        x = ClosedFormCDF.stack([position_cdf(params, t) for t in t_hi]).quantile(u)
+        x = position_cdf(params, t_hi[:, None]).quantile(u)
         with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
             p, valid = field(x, t_hi[:, None], lanes)
         # each lane keeps the records before its first failing one

@@ -11,10 +11,11 @@ form, never finite differences.  Both densities are one two-packet law
 is its far-field limit (0, sigma_p, x_half / hbar, N).  Each law is one
 :class:`ClosedFormCDF` object, from :func:`position_cdf` or
 :func:`momentum_cdf`: its call is the CDF, ``.pdf`` the density and
-``.quantile`` the checked inverse; :meth:`ClosedFormCDF.stack` makes one
-law object of laws with equal center and norm (the position laws of one
-physics at several times), whose quantile inverts them all in one Newton
-pass.  :func:`rho` is the position density that also broadcasts over t.
+``.quantile`` the checked inverse.  For an array of times,
+:func:`position_cdf` gives one law object whose ``width`` and ``wave`` take
+the times' shape, one law per time, and whose quantile inverts them all in
+one Newton pass; :func:`rho`, :func:`envelope_density` and
+:class:`GuidanceField` take their terms from that object.
 Every density goes through one real kernel (:func:`_density_terms`) and
 every CDF through one closed form (:func:`_cumulative`), whose Faddeeva
 function is Weideman's rational series in numpy (:func:`_faddeeva`), so
@@ -34,9 +35,9 @@ All operations accept scalars or numpy arrays (broadcast) for ``x``,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,9 +65,11 @@ _QUANTILE_TABLE_HALF_WIDTHS = 12.0
 #: x exceeds it).
 _QUANTILE_TOL = 1e-14
 _QUANTILE_MAX_ITER = 100
-#: Position CDFs kept by :func:`position_cdf`, each with its seed table once
-#: built (about 50 kB): one per record time of a default run up to 16 ps.
-_POSITION_CDF_CACHE = 128
+#: Seed tables kept by :func:`_seed_table` (about 50 kB each): one per record
+#: time of a default run up to 16 ps.  One lock makes each law's table a
+#: single build, however many threads invert that law at once.
+_SEED_TABLES = 128
+_SEED_TABLE_LOCK = threading.Lock()
 
 #: Smallest normal double; a CDF tail below it has no significant digits left.
 _TINY = float(np.finfo(float).tiny)
@@ -195,15 +198,7 @@ def psi(x, t, params: DoubleSlitParams):
     return _scalar_like(value, x, t)
 
 
-def _position_law(params: DoubleSlitParams, t):
-    """The density at time t as a two-packet law (center, width, wave, N):
-    (x_half, sigma_t, x_half spread(t) / (2 sigma sigma_t^2), N)."""
-    width = sigma_t(params, t)
-    wave = params.x_half * (spread(params, t) / width) / (2.0 * params.sigma * width)  # spread / sigma_t <= 1
-    return params.x_half, width, wave, norm_constant(params)
-
-
-def _density_terms(x, center, width, wave, norm):
+def _density_terms(x, law: ClosedFormCDF):
     """Real terms of a two-packet law's density: a, b, wave x, T and sqrt(2 pi) width N.
 
     a = exp(-(x - center)^2 / (4 width^2)) and b = exp(-(x + center)^2 /
@@ -216,14 +211,15 @@ def _density_terms(x, center, width, wave, norm):
     center 0 (the momentum law), x - 0 and x + 0 square to the same double,
     so b is a itself.
     """
+    center, width = law.center, law.width
     x = np.asarray(x, dtype=float)
     scale = 0.5 / width
     with np.errstate(under="ignore"):
         a = np.exp(-np.square((x - center) * scale))
         b = a if center == 0 else np.exp(-np.square((x + center) * scale))
-    half = x * wave
+    half = x * law.wave
     total = np.square(a - b) + 4.0 * a * b * np.square(np.cos(half))
-    return a, b, half, total, np.sqrt(2.0 * np.pi) * norm * width
+    return a, b, half, total, np.sqrt(2.0 * np.pi) * law.norm * width
 
 
 def rho(x, t, params: DoubleSlitParams):
@@ -232,14 +228,13 @@ def rho(x, t, params: DoubleSlitParams):
     rho = [(a - b)^2 + 4 a b cos^2(phi / 2)] / (sqrt(2 pi) sigma_t N), with
     the terms of :func:`_density_terms` for the position law at t.
     """
-    _, _, _, total, denom = _density_terms(x, *_position_law(params, t))
-    return _scalar_like(total / denom, x, t)
+    return _scalar_like(position_cdf(params, t).pdf(x), x, t)
 
 
 def envelope_density(x, t, params: DoubleSlitParams):
     """Fringe-free upper envelope (|psi_l| + |psi_r|)^2 / N = (a + b)^2 /
     (sqrt(2 pi) sigma_t N) of the density; it bounds :func:`rho` term by term."""
-    a, b, _, _, denom = _density_terms(x, *_position_law(params, t))
+    a, b, _, _, denom = _density_terms(x, position_cdf(params, t))
     return _scalar_like(np.square(a + b) / denom, x, t)
 
 
@@ -325,8 +320,9 @@ class ClosedFormCDF:
     The one way to evaluate a law's CDF, or its density at a fixed time.
     Two Gaussians of standard deviation ``width`` at +-``center`` interfere
     with fringes cos^2(wave x), over the squared norm ``norm`` (see
-    :func:`_density_terms`).  A stack of laws of one family (:meth:`stack`)
-    holds ``width`` and ``wave`` as columns, one row per member law."""
+    :func:`_density_terms`).  The position law of several times (see
+    :func:`position_cdf`) holds ``width`` and ``wave`` as arrays, one law
+    per time."""
 
     center: float
     width: float | np.ndarray
@@ -338,38 +334,14 @@ class ClosedFormCDF:
 
     def pdf(self, x) -> np.ndarray:
         """The law's density at x."""
-        _, _, _, total, denom = _density_terms(x, self.center, self.width, self.wave, self.norm)
+        _, _, _, total, denom = _density_terms(x, self)
         return total / denom
-
-    @classmethod
-    def stack(cls, laws: Sequence[ClosedFormCDF]) -> ClosedFormCDF:
-        """One law object for laws of one family (equal center and norm): row
-        r of an argument of shape (len(laws), ...) goes to ``laws[r]``.  The
-        stack seeds :meth:`quantile` from its members' own tables, so each
-        member builds its table once, however many stacks it joins."""
-        first = laws[0]
-        if any(law.center != first.center or law.norm != first.norm for law in laws):
-            raise ValueError("a stack holds laws of one family: equal center and norm")
-        stacked = cls(
-            first.center,
-            np.array([law.width for law in laws])[:, None],
-            np.array([law.wave for law in laws])[:, None],
-            first.norm,
-        )
-        # fill the cached property, which the stack would otherwise build from its own rows
-        stacked.__dict__["_seed_table"] = tuple(map(np.stack, zip(*(law._seed_table for law in laws))))
-        return stacked
-
-    @cached_property
-    def _seed_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, monotone F and density of the table that seeds :meth:`quantile`."""
-        half = self.center + _QUANTILE_TABLE_HALF_WIDTHS * self.width
-        return _quantile_table(self, self.pdf, half)
 
     def quantile(self, u) -> np.ndarray:
         """Points x with F(x) = u, shaped like u: -inf for u <= 0, +inf for
         u >= 1, and nan for an entry whose inversion did not converge or
-        met a nan F.  For a stack, u has one row per member law.
+        met a nan F.  For the law of several times (``width`` of shape
+        (R, 1), say), u has one row per time.
 
         A table of F and its density on ``_QUANTILE_TABLE_POINTS`` nodes
         over +-(center + 12 width) brackets each u and seeds it by monotone
@@ -380,10 +352,15 @@ class ClosedFormCDF:
         confirms |F(x) - u| <= ``_QUANTILE_TOL`` or the bracket spans
         adjacent doubles.  All entries of all rows share one Newton pass, but
         each entry's arithmetic depends only on its own u and law, not on
-        the other entries.  The table is built on the first call and kept.
+        the other entries.  Each row's table comes from :func:`_seed_table`.
         """
         shape = np.shape(u)
-        grid, table, slope = (np.atleast_2d(column) for column in self._seed_table)  # (rows, points)
+        with _SEED_TABLE_LOCK:
+            tables = [
+                _seed_table(self.center, width, wave, self.norm)
+                for width, wave in zip(np.ravel(self.width).tolist(), np.ravel(self.wave).tolist())
+            ]
+        grid, table, slope = (np.stack(column) for column in zip(*tables))  # (rows, points)
         rows, points = grid.shape
         u = np.asarray(u, dtype=float).reshape(rows, -1)
         width = np.broadcast_to(np.reshape(self.width, (-1, 1)), u.shape)
@@ -441,30 +418,35 @@ class ClosedFormCDF:
         return np.where(u <= 0.0, -np.inf, np.where(u >= 1.0, np.inf, x)).reshape(shape)
 
 
-def _quantile_table(cdf, pdf, half: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes over [-half, half], the running maximum of F on them, and the
-    density; read-only, since one table serves every caller."""
+@lru_cache(maxsize=_SEED_TABLES)
+def _seed_table(center: float, width: float, wave: float, norm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes over +-(center + 12 width), the running maximum of the law's F
+    on them, and its density: the table that seeds :meth:`ClosedFormCDF.quantile`.
+    Read-only, since one table serves every caller; callers hold
+    ``_SEED_TABLE_LOCK``, so every batch, thread and theory that inverts a
+    law builds its table once."""
+    law = ClosedFormCDF(center, width, wave, norm)
+    half = center + _QUANTILE_TABLE_HALF_WIDTHS * width
     grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
-    table = (grid, np.maximum.accumulate(cdf(grid)), pdf(grid))
+    table = (grid, np.maximum.accumulate(law(grid)), law.pdf(grid))
     for column in table:
         column.setflags(write=False)
     return table
 
 
-def position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
+def position_cdf(params: DoubleSlitParams, t) -> ClosedFormCDF:
     """The position law at time t: the mass coordinate F_t(x), the integral
-    of rho(x', t) over x' < x, with rho(., t) as its ``.pdf``.
+    of rho(x', t) over x' < x, with rho(., t) as its ``.pdf``; the two-packet
+    law (x_half, sigma_t, x_half spread(t) / (2 sigma sigma_t^2), N).
 
-    Equal arguments return one shared object (the last
-    ``_POSITION_CDF_CACHE`` are kept), so every batch, thread and theory
-    that inverts F_t at the same time builds one quantile table.
+    For an array t, ``width`` and ``wave`` take t's shape, one law per
+    time; for a scalar t they are Python floats.
     """
-    return _shared_position_cdf(params, float(t))
-
-
-@lru_cache(maxsize=_POSITION_CDF_CACHE)
-def _shared_position_cdf(params: DoubleSlitParams, t: float) -> ClosedFormCDF:
-    return ClosedFormCDF(*map(float, _position_law(params, t)))
+    width = sigma_t(params, t)
+    wave = params.x_half * (spread(params, t) / width) / (2.0 * params.sigma * width)  # spread / sigma_t <= 1
+    if np.ndim(t) == 0:
+        width, wave = float(width), float(wave)
+    return ClosedFormCDF(params.x_half, width, wave, norm_constant(params))
 
 
 def momentum_cdf(params: DoubleSlitParams) -> ClosedFormCDF:
@@ -517,9 +499,9 @@ class GuidanceField:
         """
         params = self.params
         x = np.asarray(x, dtype=float)
-        law = _position_law(params, t)
-        a, b, half, total, denom = _density_terms(x, *law)
-        width = law[1]
+        law = position_cdf(params, t)
+        a, b, half, total, denom = _density_terms(x, law)
+        width = law.width
         density = total / denom
         valid = np.asarray(density > NODE_FLOOR_RELATIVE * (4.0 / denom)) & np.isfinite(density)
         sign = np.sign(t)
@@ -528,7 +510,7 @@ class GuidanceField:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             value = kappa * (x + params.x_half * (b - a) * (b + a) / total) - fringe * a * b * np.sin(2.0 * half) / total
             if self.delta_p is not None:
-                anchored = _density_terms(self.x0[lanes], *law)[3]
+                anchored = _density_terms(self.x0[lanes], law)[3]
                 value = value + self.delta_p[lanes] * ((anchored / denom) / density)
                 valid = valid & np.isfinite(value)
         return value, valid

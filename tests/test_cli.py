@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.lib.introspect import opt_func_info
 
 from qtraj import DoubleSlitParams, EnsembleResult, default_config, default_histogram_specs, p_bb, rho, run_ensemble
-from qtraj import dynamics, ensemble, wavefield
+from qtraj import dynamics, ensemble
 from qtraj.cli import (
     CONFIG_DEFAULTS,
     ConfigError,
@@ -657,16 +657,14 @@ def test_writers_return_the_sha256_of_their_bytes(tmp_path):
     assert write_trajectories(result, tmp_path / "t2.csv").sha256 == result.data_digest()
 
 
-def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch):
-    """Two batches per theory invert F_t at the same record times; each
-    time's position CDF, with its quantile table, is built once and shared
-    by every batch and both theories.  F_t0, which every batch evaluates at
-    its start, is the one the sampler inverts for both theories' position
-    draws; the only other table is the momentum CDF of the revised draws."""
+def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch, seed_tables):
+    """Two batches per theory invert F_t at the same record times, each
+    block of times as one array; each time's quantile table is built once
+    and shared by every batch and both theories.  F_t0, which every batch
+    evaluates at its start, is the one the sampler inverts for both
+    theories' position draws; the only other table is the momentum law of
+    the revised draws."""
     monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
-    wavefield._shared_position_cdf.cache_clear()
-    builds = mock.Mock(wraps=wavefield._quantile_table)
-    monkeypatch.setattr(wavefield, "_quantile_table", builds)
     inverted = mock.Mock(wraps=dynamics.position_cdf)
     monkeypatch.setattr(dynamics, "position_cdf", inverted)
     batches = mock.Mock(wraps=dynamics.integrate_batch)
@@ -674,6 +672,7 @@ def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch
     cfg = _write_config(tmp_path, n_traj=64, dt_ps=0.02, seed=3, out_dir=tmp_path / "o")
     assert main(["compare", "--config", str(cfg)]) == 0
     assert batches.call_count == 4
-    times = {call.args[1] for call in inverted.call_args_list}
-    assert len(times) == 43 and 0.0 in times and inverted.call_count > 2 * len(times)
-    assert builds.call_count == len(times) + 1
+    arguments = [np.ravel(call.args[1]) for call in inverted.call_args_list]
+    times = set(np.concatenate(arguments).tolist())
+    assert len(times) == 43 and 0.0 in times and max(map(len, arguments)) == 42
+    assert seed_tables.cache_info().misses == len(times) + 1

@@ -142,6 +142,17 @@ def test_first_sample_reports_field_momentum(params, schedule):
     assert tr.p[0] == pytest.approx(9.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+@pytest.mark.parametrize("engine", [integrate_batch, rk4_batch], ids=lambda f: f.__name__)
+def test_first_revised_record_is_the_drawn_momentum(params, engine, t0):
+    """Under the revised law a lane's first recorded momentum is its drawn
+    p0 bit for bit, also where p_bb(x0, t0) does not vanish and the field
+    p_bb + (p0 - p_bb) can round away from p0."""
+    ics = make_initial_conditions(1024, SeededStream(1, 0), params, t0, "revised")
+    sched = IntegrationSchedule(t0=t0, t_final=t0 + 0.25, dt_base=0.125)
+    np.testing.assert_array_equal(engine(ics, sched, params).p[:, 0], ics.p0)
+
+
 def test_runaway_revised_trajectory_stalls(params, schedule):
     """A strong momentum offset self-amplifies until the speed cap halts it."""
     ic = InitialCondition(x0=55.0, p0=8.0, t0=0.0, theory="revised")

@@ -29,7 +29,7 @@ from qtraj import (
     side_band_peak,
     slice_values,
 )
-from qtraj import ensemble, wavefield
+from qtraj import ensemble
 from qtraj.dynamics import TrajectoryColumns, rk4_batch
 from qtraj.wavefield import GuidanceField, p_bb, p_revised, rho
 
@@ -104,21 +104,23 @@ def test_run_ensemble_worker_independent(params):
     assert a.data_digest() == b.data_digest()
 
 
-def test_shared_quantile_tables_under_thread_contention(params, monkeypatch):
+def test_shared_quantile_tables_under_thread_contention(params, monkeypatch, seed_tables):
     """Eight batches on four threads, switching every microsecond, first
-    touch each record time's shared position CDF together; the ensemble
-    still equals the one-batch build."""
+    invert each record time's position law together; each distinct law
+    still builds one seed table, and the ensemble equals the one-batch build."""
     cfg = default_config(params, theory="revised", n_traj=256, master_seed=23)
-    expected = run_ensemble(cfg, params, workers=1).data_digest()
     monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
-    wavefield._shared_position_cdf.cache_clear()
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         result = run_ensemble(cfg, params, workers=4)
     finally:
         sys.setswitchinterval(interval)
-    assert result.data_digest() == expected
+    built = seed_tables.cache_info()
+    # the position law at each record time and the momentum law of the draws
+    assert built.misses == built.currsize == cfg.schedule.record_times.size + 1
+    monkeypatch.undo()  # one batch
+    assert result.data_digest() == run_ensemble(cfg, params, workers=1).data_digest()
 
 
 def test_rows_format(small_run):

@@ -169,8 +169,10 @@ def test_wavefield_has_one_density_kernel_and_one_cdf_kernel():
 
 def test_law_cdfs_go_through_the_law_object():
     """In wavefield.py only ``ClosedFormCDF.__call__`` calls ``_cumulative``,
-    and no module defines the deleted function forms of the laws, so every
-    CDF of a law is evaluated through ``position_cdf`` / ``momentum_cdf``."""
+    and no module defines the deleted function forms of the laws, a second
+    maker of position laws or a stack of laws, or mentions ``cached_property``,
+    so every CDF of a law is evaluated through ``position_cdf`` /
+    ``momentum_cdf`` and every seed table comes from one cached function."""
     tree = ast.parse((_PACKAGE / "wavefield.py").read_text(encoding="utf-8"))
     (law,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ClosedFormCDF"]
     (call,) = [node for node in law.body if isinstance(node, ast.FunctionDef) and node.name == "__call__"]
@@ -182,6 +184,7 @@ def test_law_cdfs_go_through_the_law_object():
     ]
     assert not outside, f"wavefield.py calls _cumulative outside ClosedFormCDF.__call__ at lines {outside}"
     deleted = {"mass_coordinate", "momentum_cumulative", "momentum_density"}
+    deleted |= {"stack", "_position_law", "_shared_position_cdf"}
     defined = [
         f"{path.name}:{node.name}"
         for path in sorted(_PACKAGE.glob("*.py"))
@@ -189,6 +192,8 @@ def test_law_cdfs_go_through_the_law_object():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in deleted
     ]
     assert not defined, f"law functions outside the law object: {defined}"
+    mentions = [path.name for path in _PACKAGE.glob("*.py") if "cached_property" in path.read_text(encoding="utf-8")]
+    assert not mentions, f"cached_property in {mentions}"
 
 
 def test_every_stream_comes_from_one_philox_call(params, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
-from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity, wavefield
+from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity
 from qtraj.wavefield import (
     HBAR_NM2_ME_PS,
     NODE_FLOOR_RELATIVE,
@@ -656,29 +656,31 @@ def test_cdfs_give_each_entry_its_batch_bits(params):
         np.testing.assert_array_equal(alone, batch)
 
 
-def test_stacked_laws_invert_as_their_members(params, monkeypatch):
-    """A stack of position laws gives each row its member law's CDF and
-    quantile bits, seeds from the members' own tables without building
-    another, and refuses laws of different families."""
-    times = (0.0, 0.125, 3.5, 5.0)
-    members = [position_cdf(params, t) for t in times]
-    tables = [member._seed_table for member in members]
-    monkeypatch.setattr(wavefield, "_quantile_table", None)  # a stack that builds a table fails
-    stack = ClosedFormCDF.stack(members)
-    for row, table in enumerate(tables):
-        for stacked, own in zip(stack._seed_table, table):
-            np.testing.assert_array_equal(stacked[row], own)
+def test_position_law_of_several_times_is_its_scalar_laws(params, seed_tables):
+    """``position_cdf`` of a column of times gives each row the fields (the
+    scalar law's as Python floats), CDF, pdf and quantile bits of the scalar
+    law at its time, and seeds from the scalar laws' tables without building
+    another."""
+    times = np.array([0.0, 0.125, 3.5, 5.0])
+    law = position_cdf(params, times[:, None])
+    members = [position_cdf(params, t) for t in times.tolist()]
     u = np.random.default_rng(4).uniform(0.0, 1.0, (len(times), 500))
     u[:, :3] = [0.0, 1.0, np.nan]
-    x = stack.quantile(u)
+    member_x = [member.quantile(u[row]) for row, member in enumerate(members)]
+    built = seed_tables.cache_info().misses
+    x = law.quantile(u)
+    assert seed_tables.cache_info().misses == built == len(times)
     reach = params.x_half + 8.0 * float(sigma_t(params, 5.0))
     points = np.linspace(-reach, reach, 500)
-    values = stack(np.broadcast_to(points, u.shape))
+    values, densities = law(np.broadcast_to(points, u.shape)), law.pdf(points)
+    assert law.width.shape == law.wave.shape == (len(times), 1)
     for row, member in enumerate(members):
-        np.testing.assert_array_equal(x[row], member.quantile(u[row]))
+        assert type(member.width) is float and type(member.wave) is float
+        assert (law.center, law.norm) == (member.center, member.norm)
+        assert (law.width[row, 0], law.wave[row, 0]) == (member.width, member.wave)
+        np.testing.assert_array_equal(x[row], member_x[row])
         np.testing.assert_array_equal(values[row], member(points))
-    with pytest.raises(ValueError):
-        ClosedFormCDF.stack([members[0], momentum_cdf(params)])
+        np.testing.assert_array_equal(densities[row], member.pdf(points))
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
