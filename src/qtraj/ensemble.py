@@ -8,10 +8,10 @@ histograms (the observable that separates the two trajectory theories from
 quantum mechanics at intermediate times).
 
 Reproducibility: trajectory i draws from seed stream i regardless of
-ensemble size, trajectories are transported in fixed-size batches whose
-composition does not depend on the worker count, and every statistic is a
-pure function of the ensemble, so a (config, seed) pair fixes all outputs
-bit for bit.
+ensemble size, a lane's transported values do not depend on the batch it
+rides in, and every statistic is a pure function of the ensemble, so a
+(config, seed) pair fixes all outputs bit for bit at any worker count.
+Fixed-size batches bound the working set of each transport call.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .dynamics import IntegrationSchedule, TrajectoryColumns, integrate_batch
 from .sampling import THEORIES, SeededStream, make_initial_conditions
 from .wavefield import DoubleSlitParams, GuidanceField
 
-#: Trajectories per transport batch.  Fixed, so batch composition -- and
-#: therefore every computed value -- is independent of the worker count.
+#: Trajectories per transport batch: it bounds each transport call's working
+#: set.  A lane's bits do not depend on its batch, so any size gives one result.
 _BATCH_SIZE = 2048
 
 #: Trajectories per serialized CSV block; bounds the memory of writing and hashing.

@@ -545,23 +545,19 @@ def p_revised(x, t, ic, params: DoubleSlitParams):
     return _checked("revised", *field(x, t), x, t)
 
 
-def schrodinger_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float, psi_fn=None):
-    """Free Schrodinger residual i hbar d_t psi + hbar^2/(2m) d_xx psi by central differences.
+def schrodinger_residual(x, t, params: DoubleSlitParams, h_x: float, h_t: float):
+    """Free Schrodinger residual i hbar d_t psi + hbar^2/(2m) d_xx psi of :func:`psi` by central differences.
 
     Returns the residual normalized by |psi(x, t)| times the characteristic
     energy hbar^2 / (2 m sigma^2), so a correct wave field gives a value at
-    the finite-difference truncation level.  ``psi_fn`` may substitute a
-    different wave function (negative controls); it defaults to the
-    module's analytic psi.
+    the finite-difference truncation level.
     """
-    if psi_fn is None:
-        psi_fn = lambda xx, tt: psi(xx, tt, params)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     hbar, mass = HBAR_NM2_ME_PS, params.mass
-    center = psi_fn(x, t)
-    d_t = (psi_fn(x, t + h_t) - psi_fn(x, t - h_t)) / (2.0 * h_t)
-    d_xx = (psi_fn(x + h_x, t) - 2.0 * center + psi_fn(x - h_x, t)) / h_x ** 2
+    center = psi(x, t, params)
+    d_t = (psi(x, t + h_t, params) - psi(x, t - h_t, params)) / (2.0 * h_t)
+    d_xx = (psi(x + h_x, t, params) - 2.0 * center + psi(x - h_x, t, params)) / h_x ** 2
     residual = 1.0j * hbar * d_t + hbar ** 2 / (2.0 * mass) * d_xx
     scale = np.abs(center) * hbar ** 2 / (2.0 * mass * params.sigma ** 2)
     value = residual / scale

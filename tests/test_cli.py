@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
+import functools
 import hashlib
 import io
 import os
@@ -25,10 +26,11 @@ from qtraj.cli import (
     build_slice_report,
     main,
     parse_config,
+    verify_checks,
     write_histograms,
     write_trajectories,
 )
-from qtraj.wavefield import position_cdf
+from qtraj.wavefield import ClosedFormCDF, position_cdf
 
 
 def _write_config(tmp_path, **kw):
@@ -298,25 +300,27 @@ def test_workers_default_to_one(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_rejected(tmp_path, capsys, workers):
-    """The CLI exits 2 naming --workers before it writes anything, and
-    run_ensemble raises instead of running one worker."""
+    """run and compare exit 2 naming --workers before they write anything,
+    and run_ensemble raises instead of running one worker."""
     out = tmp_path / "o"
-    assert main(["run", "--n", "8", "--theory", "dbb", "--workers", str(workers), "--out", str(out)]) == 2
-    assert "--workers" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("run", "compare"):
+        assert main([command, "--n", "8", "--workers", str(workers), "--out", str(out)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
     params = DoubleSlitParams(50.0, 10.0)
     with pytest.raises(ValueError, match="^workers must be >= 1"):
         run_ensemble(default_config(params, theory="dbb", n_traj=8), params, workers=workers)
 
 
 def test_run_cli_flag_overrides(tmp_path, capsys):
-    rc = main(
-        ["run", "--theory", "dbb", "--n", "32", "--seed", "4", "--out", str(tmp_path / "o")]
-    )
+    """run takes all six flags."""
+    argv = ["run", "--config", str(_write_config(tmp_path)), "--theory", "dbb", "--n", "32", "--seed", "4"]
+    rc = main(argv + ["--out", str(tmp_path / "o"), "--workers", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "theory=dbb n_traj=32" in out
     assert (tmp_path / "o" / "trajectories.csv").is_file()
+    assert parse_config(tmp_path / "o" / "manifest.txt").config.master_seed == 4
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,46 @@ def test_empty_slice_report_is_nan_and_failed(tmp_path):
     assert text.count("\nks_passed = false\n") == 2
 
 
+@functools.cache
+def _small_dbb_result() -> EnsembleResult:
+    params = DoubleSlitParams(50.0, 10.0)
+    return run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2), params)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.integers(1, 41), min_size=8, max_size=8),
+    cap=st.integers(1, 41),
+    on_grid=st.booleans(),
+    k=st.integers(0, 40),
+    fraction=st.floats(0.0, 1.0),
+)
+@example(counts=[1] * 8, cap=41, on_grid=True, k=40, fraction=0.0)
+@example(counts=[20] * 8, cap=41, on_grid=False, k=0, fraction=0.7)
+def test_slice_counts_the_lanes_recorded_at_its_time(counts, cap, on_grid, k, fraction):
+    """With per-lane record counts cut (all below ``cap``) and a slice time
+    on or off the 41-record grid, every lane either contributes or is
+    excluded; the position slice holds exactly the lanes whose last record
+    lies at or after t - tol, and a slice no lane reaches reports
+    n_contributing = 0 with a nan, failed KS test."""
+    res = _small_dbb_result()
+    times = res.trajectories.t
+    n_rec = np.minimum(counts, cap)
+    status = np.where(n_rec < times.size, "node_stalled", "completed").astype(object)
+    cut = replace(res.trajectories, n_records=n_rec, status=status)
+    stopped = EnsembleResult(config=res.config, params=res.params, trajectories=cut)
+    t = float(times[k]) if on_grid else float(times[0] + fraction * (times[-1] - times[0]))
+    reached = int(np.count_nonzero(times[n_rec - 1] >= t - 1e-9 * max(1.0, abs(t))))
+    for observable in ("position", "momentum"):
+        report = build_slice_report(stopped, t, observable)
+        assert report.slice.n_contributing + report.slice.n_excluded == 8
+        if observable == "position":
+            assert report.slice.n_contributing == reached
+        if reached == 0:
+            assert report.slice.n_contributing == 0
+            assert np.isnan(report.ks.statistic) and not report.ks.passed
+
+
 def test_coarse_bins_still_produce_reports(tmp_path, capsys):
     cfg = _write_config(tmp_path, bins=4, n_traj=40, dt_ps=0.02, seed=6, out_dir=tmp_path / "o4")
     rc = main(["run", "--config", str(cfg)])
@@ -426,6 +470,36 @@ def test_verify_time_step_scales_with_mass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS schrodinger_residual:" in out and "PASS position_norm:" in out
     assert "FAIL" not in out
+
+
+#: (X nm, sigma nm, m m_e): the paper's physics, narrow slits, a light
+#: particle whose packets outgrow sigma, and wide slits.
+_VERIFY_PHYSICS = [(50.0, 10.0, 1.0), (50.0, 0.1, 1.0), (50.0, 10.0, 0.01), (500.0, 10.0, 1.0)]
+
+
+def _norm_errors(checks):
+    """The |integral - 1| that the two normalization checks print."""
+    details = {name: detail for name, _, detail in checks}
+    return [float(details[name].split("= ")[1].split()[0]) for name in ("position_norm", "momentum_norm")]
+
+
+@pytest.mark.parametrize("physics", _VERIFY_PHYSICS, ids=lambda physics: "-".join(f"{v:g}" for v in physics))
+def test_verify_normalizations_hold_to_1e_11(physics):
+    """Both laws integrate to 1 within 1e-11, the position law at t = 0, 1,
+    3.5 and 5 ps; only schrodinger_residual at sigma = 0.1 fails (ROADMAP
+    item 2)."""
+    checks = verify_checks(DoubleSlitParams(*physics))
+    assert max(_norm_errors(checks)) <= 1e-11
+    failed = [name for name, passed, _ in checks if not passed]
+    assert failed == (["schrodinger_residual"] if physics[1] == 0.1 else [])
+
+
+def test_verify_normalization_flags_a_scaled_density(monkeypatch):
+    """A density 1 + 2e-6 times too large fails position_norm."""
+    pdf = ClosedFormCDF.pdf
+    monkeypatch.setattr(ClosedFormCDF, "pdf", lambda law, x: (1.0 + 2e-6) * pdf(law, x))
+    checks = {name: passed for name, passed, _ in verify_checks(DoubleSlitParams(50.0, 10.0))}
+    assert not checks["position_norm"] and not checks["momentum_norm"]
 
 
 @pytest.mark.parametrize("physics", [{"x_half_nm": 500, "sigma_nm": 5}, {"sigma_nm": 0.1}])
@@ -542,7 +616,7 @@ def test_t0_far_from_zero_ends_without_hanging(tmp_path, t0, physics, rc, key):
 def test_run_and_compare_end_in_an_exit_code(command, n, theory, ratio, sigma, mass, t0, span):
     """Across X/sigma, sigma, mass, t0 and span, at dt = span / 20 with slices
     at t0, mid-span and t_final, run and compare end in exit code 0, 1 or 2
-    and never raise."""
+    and never raise; ``--theory`` goes to run only, since compare runs both."""
     t_final = t0 + span
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write_config(
@@ -556,8 +630,9 @@ def test_run_and_compare_end_in_an_exit_code(command, n, theory, ratio, sigma, m
             slices_ps=f"{t0!r}, {t0 + span / 2!r}, {t_final!r}",
             out_dir=Path(tmp) / "o",
         )
+        argv = [command, "--config", str(cfg), "--n", str(n)] + (["--theory", theory] if command == "run" else [])
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            rc = main([command, "--config", str(cfg), "--n", str(n), "--theory", theory])
+            rc = main(argv)
     assert rc in (0, 1, 2)
 
 
@@ -619,6 +694,20 @@ def test_bad_flag_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--theory", "bohm", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--theory", "dbb"], ["verify", "--n", "5"], ["verify", "--workers", "0"], ["verify", "--out", "o"]],
+    ids=["compare-theory", "verify-n", "verify-workers", "verify-out"],
+)
+def test_flags_a_command_does_not_read_exit_via_argparse(argv, capsys):
+    """compare always runs both laws and verify reads only --config and
+    --seed, so any other flag is an argparse error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

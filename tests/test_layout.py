@@ -1,13 +1,16 @@
 """Module layout: no module reaches into a sibling's private names or
-imports a name it never uses, importing the CLI loads no scipy, the
-ensemble module runs the exact-transport engine, both engines return one
-result type, the CLI writes every file through one hashing writer, and the
-wave field evaluates both laws through one density kernel and one CDF
-kernel with one Faddeeva series, reached only through the law object, and
-the sampler draws every stream of a batch from one Philox call."""
+imports a name it never uses, no module imports scipy, the third-party
+imports are exactly the declared dependencies, neither importing the CLI
+nor running ``qtraj verify`` loads scipy, the ensemble module runs the
+exact-transport engine, both engines return one result type, the CLI
+writes every file through one hashing writer, and the wave field evaluates
+both laws through one density kernel and one CDF kernel with one Faddeeva
+series, reached only through the law object, and the sampler draws every
+stream of a batch from one Philox call."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,49 +60,53 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports unused names {unused}"
 
 
-def _module_level(node: ast.AST):
-    """Every node that runs when the module is imported (function bodies excluded)."""
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield child
-            yield from _module_level(child)
-
-
-@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
-def test_no_module_level_scipy_integrate(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [
-        ast.unparse(node)
-        for node in _module_level(tree)
-        if (isinstance(node, ast.Import) and any(a.name.startswith("scipy.integrate") for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.integrate"))
-        or (isinstance(node, ast.ImportFrom) and node.module == "scipy" and any(a.name == "integrate" for a in node.names))
-    ]
-    assert not found, f"{path.name} imports scipy.integrate at module level: {found}"
-
-
-def test_no_module_imports_scipy_at_module_level():
-    """scipy costs a run's start-up more than its work at the benchmark
-    sizes, so only a function that needs it (``verify``'s ``quad``) imports it."""
+def test_no_module_imports_scipy():
+    """No module imports scipy, at module level or inside a function: the
+    package's one runtime dependency is numpy."""
     found = [
         f"{path.name}: {ast.unparse(node)}"
         for path in sorted(_PACKAGE.glob("*.py"))
-        for node in _module_level(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+        for _, name, node in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        if "scipy" in (name.split(".")[0], (getattr(node, "module", None) or "").split(".")[0])
     ]
-    assert not found, f"scipy imported at module level: {found}"
+    assert not found, f"scipy imported: {found}"
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    """The third-party top-level modules the package imports, at any level,
+    are exactly the runtime dependencies in pyproject.toml (each
+    distribution is named as its module), so an undeclared import or a
+    declared dependency that nothing uses fails."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((_PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower() for requirement in project["dependencies"]}
+    imported = set()
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for _, name, node in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.add(name.split(".")[0])
+            elif node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    """A fresh interpreter that imports qtraj.cli has loaded no scipy module at all."""
+    """A fresh interpreter that imports qtraj.cli and runs ``qtraj verify``
+    has loaded no scipy module at all."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")]))
-    probe = "import sys, qtraj.cli; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    loaded = subprocess.run(
+    probe = (
+        "import sys, qtraj.cli\n"
+        "rc = qtraj.cli.main(['verify'])\n"
+        "sys.stderr.write(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "raise SystemExit(rc)"
+    )
+    done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
-    ).stdout.split()
-    assert not loaded, f"import qtraj.cli loads {loaded}"
+    )
+    assert done.stdout.count("PASS ") == 5
+    loaded = done.stderr.split()
+    assert not loaded, f"import qtraj.cli and qtraj verify load {loaded}"
 
 
 def test_ensembles_run_the_transport_engine():

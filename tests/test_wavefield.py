@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 
-from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity
+from qtraj import DoubleSlitParams, InitialCondition, NodeSingularity, wavefield
 from qtraj.wavefield import (
     HBAR_NM2_ME_PS,
     NODE_FLOOR_RELATIVE,
@@ -267,7 +267,7 @@ def test_schrodinger_residual_small(params, rng):
     assert np.max(np.abs(r)) < 1e-4
 
 
-def test_schrodinger_residual_flags_corrupted_field(params, rng):
+def test_schrodinger_residual_flags_corrupted_field(params, rng, monkeypatch):
     """An exponent width inconsistent with the prefactor must fail the check."""
 
     def psi_bad(x, t, p=params):
@@ -278,9 +278,8 @@ def test_schrodinger_residual_flags_corrupted_field(params, rng):
         return (left + right) / np.sqrt(norm_constant(p))
 
     x, t = _in_band_points(params, rng, 500)
-    r = schrodinger_residual(
-        x, t, params, h_x=params.sigma / 1000.0, h_t=2.5e-4, psi_fn=psi_bad
-    )
+    monkeypatch.setattr(wavefield, "psi", psi_bad)
+    r = schrodinger_residual(x, t, params, h_x=params.sigma / 1000.0, h_t=2.5e-4)
     assert np.median(np.abs(r)) > 5e-4
 
 
