@@ -60,6 +60,40 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports unused names {unused}"
 
 
+def _module_level(node: ast.AST):
+    """Every node that runs when the module is imported (function bodies excluded)."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_level_scipy_integrate(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        ast.unparse(node)
+        for node in _module_level(tree)
+        if (isinstance(node, ast.Import) and any(a.name.startswith("scipy.integrate") for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.integrate"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "scipy" and any(a.name == "integrate" for a in node.names))
+    ]
+    assert not found, f"{path.name} imports scipy.integrate at module level: {found}"
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """scipy costs a run's start-up more than its work at the benchmark
+    sizes, so no module imports it when it is imported."""
+    found = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in _module_level(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert not found, f"scipy imported at module level: {found}"
+
+
 def test_no_module_imports_scipy():
     """No module imports scipy, at module level or inside a function: the
     package's one runtime dependency is numpy."""
