@@ -249,12 +249,9 @@ def integrate_batch(
             nodes = times[block - 1, None] + half[:, None] * (_GL_NODES + 1.0)  # (records, 8)
             densities = rho(x0[lanes], nodes[:, :, None], params)  # (records, 8, lanes)
             piece = sum(weight * densities[:, k] for k, weight in enumerate(_GL_WEIGHTS))  # in node order
-            sweep = np.empty((block.size, lanes.size))
-            running = swept[lanes]
-            for row in range(block.size):  # record by record, as the integral grows
-                running = running + half[row] * piece[row]
-                sweep[row] = running
-            swept[lanes] = running
+            # record by record down axis 0, as the integral grows
+            sweep = np.add.accumulate(np.vstack((swept[lanes], half[:, None] * piece)), axis=0)[1:]
+            swept[lanes] = sweep[-1]
             u = u + drift[lanes] * sweep
         x = position_cdf(params, t_hi[:, None]).quantile(u)
         with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):

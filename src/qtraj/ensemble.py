@@ -40,29 +40,6 @@ _KS_COEFFICIENTS = {0.01: 1.63, 0.05: 1.36}
 _OBSERVABLES = ("position", "momentum")
 
 
-class SliceOutOfRange(Exception):
-    """Raised when a time slice lies outside the integration span."""
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """Bin count and value range for one observable's histograms."""
-
-    n_bins: int
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {self.n_bins!r}")
-        if not self.hi > self.lo:
-            raise ValueError(f"empty histogram range [{self.lo!r}, {self.hi!r}]")
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n_bins + 1)
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything that determines an ensemble besides the physical params."""
@@ -72,7 +49,7 @@ class EnsembleConfig:
     master_seed: int
     schedule: IntegrationSchedule
     slice_times: tuple[float, ...]
-    n_bins: int  # ranges follow: default_histogram_specs(params, schedule.t_final, n_bins)
+    n_bins: int  # ranges follow: histogram_edges(params, schedule.t_final, n_bins)
 
     def __post_init__(self) -> None:
         if self.n_traj < 1:
@@ -88,13 +65,11 @@ class EnsembleConfig:
                 raise ValueError(f"slice time {t!r} outside [{self.schedule.t0!r}, {self.schedule.t_final!r}]")
 
 
-def default_histogram_specs(
-    params: DoubleSlitParams, t_final: float, n_bins: int = 200
-) -> tuple[HistogramSpec, HistogramSpec]:
-    """Position and momentum histogram specs wide enough for every slice."""
+def histogram_edges(params: DoubleSlitParams, t_final: float, n_bins: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum bin edges, symmetric about 0 and wide enough for every slice."""
     x_hw = params.position_half_width(t_final)
     p_hw = 6.0 * params.sigma_p
-    return HistogramSpec(n_bins, -x_hw, x_hw), HistogramSpec(n_bins, -p_hw, p_hw)
+    return np.linspace(-x_hw, x_hw, n_bins + 1), np.linspace(-p_hw, p_hw, n_bins + 1)
 
 
 def default_config(
@@ -213,7 +188,7 @@ def slice_values(result: EnsembleResult, t: float, observable: str) -> TimeSlice
     sched = result.config.schedule
     tol = 1e-9 * max(1.0, abs(t))
     if not (sched.t0 - tol <= t <= sched.t_final + tol):
-        raise SliceOutOfRange(f"slice time {t!r} outside [{sched.t0!r}, {sched.t_final!r}]")
+        raise ValueError(f"slice time {t!r} outside [{sched.t0!r}, {sched.t_final!r}]")
 
     cols = result.trajectories
     times, n_rec = cols.t, cols.n_records
@@ -261,10 +236,12 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def build_histogram(values, spec: HistogramSpec) -> Histogram:
-    """Histogram of values over ``spec``'s range; out-of-range tallied apart."""
+def build_histogram(values, edges) -> Histogram:
+    """Histogram of values over strictly increasing ``edges``; out-of-range values tallied apart."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(edges[1:] > edges[:-1]):
+        raise ValueError(f"histogram edges must be at least 2 strictly increasing values, got {edges!r}")
     v = np.asarray(values, dtype=float)
-    edges = spec.edges
     counts, _ = np.histogram(v, bins=edges)
     total = int(counts.sum())
     widths = np.diff(edges)
@@ -273,8 +250,8 @@ def build_histogram(values, spec: HistogramSpec) -> Histogram:
         edges=edges,
         counts=counts,
         density=density,
-        n_below=int(np.count_nonzero(v < spec.lo)),
-        n_above=int(np.count_nonzero(v > spec.hi)),
+        n_below=int(np.count_nonzero(v < edges[0])),
+        n_above=int(np.count_nonzero(v > edges[-1])),
     )
 
 
@@ -317,34 +294,30 @@ def ks_test(values, cdf_oracle: Callable[[np.ndarray], np.ndarray], alpha: float
     return KSResult(statistic=statistic, n=n, alpha=alpha, critical_at_alpha=ks_critical(n, alpha))
 
 
-def _band_masks(histogram: Histogram, sigma_p: float) -> tuple[np.ndarray, np.ndarray]:
-    centers = histogram.centers
-    span = histogram.edges[-1] - histogram.edges[0]
-    if abs(histogram.edges[0] + histogram.edges[-1]) > 1e-9 * span:
+def band_metrics(histogram: Histogram, params: DoubleSlitParams) -> tuple[float, float]:
+    """Central-dip ratio and side-band peak of a momentum histogram.
+
+    The ratio is the mean density in |p| < sigma_p/2 over the mean density
+    in the first side bands sigma_p/2 < |p| < 3 sigma_p/2; below 1 means the
+    histogram dips where the quantum momentum density has its global
+    maximum -- the signature separating trajectory ensembles from quantum
+    mechanics at intermediate times.  The peak is the largest density in
+    those side bands.  Raises ValueError for a range not symmetric about 0
+    or bins too coarse to resolve both bands.
+    """
+    edges, sigma_p = histogram.edges, params.sigma_p
+    if abs(edges[0] + edges[-1]) > 1e-9 * (edges[-1] - edges[0]):
         raise ValueError("histogram range must be symmetric about 0 for band metrics")
-    inner = np.abs(centers) < 0.5 * sigma_p
-    outer = (np.abs(centers) > 0.5 * sigma_p) & (np.abs(centers) < 1.5 * sigma_p)
+    centers = np.abs(histogram.centers)
+    inner = centers < 0.5 * sigma_p
+    outer = (centers > 0.5 * sigma_p) & (centers < 1.5 * sigma_p)
     if not inner.any() or not outer.any():
         raise ValueError("histogram too coarse to resolve the central and side bands")
-    return inner, outer
-
-
-def central_dip_metric(histogram: Histogram, params: DoubleSlitParams) -> float:
-    """Mean density in |p| < sigma_p/2 over mean density in the first side bands.
-
-    Below 1 means the histogram dips where the quantum momentum density has
-    its global maximum -- the signature separating trajectory ensembles
-    from quantum mechanics at intermediate times.
-    """
-    inner, outer = _band_masks(histogram, params.sigma_p)
-    side = float(histogram.density[outer].mean())
+    side = histogram.density[outer]
     center = float(histogram.density[inner].mean())
-    if side == 0.0:
-        return float("inf") if center > 0.0 else float("nan")
-    return center / side
-
-
-def side_band_peak(histogram: Histogram, params: DoubleSlitParams) -> float:
-    """Largest density in the side bands sigma_p/2 < |p| < 3 sigma_p/2."""
-    _, outer = _band_masks(histogram, params.sigma_p)
-    return float(histogram.density[outer].max())
+    mean_side = float(side.mean())
+    if mean_side == 0.0:
+        dip = float("inf") if center > 0.0 else float("nan")
+    else:
+        dip = center / mean_side
+    return dip, float(side.max())

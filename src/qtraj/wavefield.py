@@ -238,19 +238,22 @@ def envelope_density(x, t, params: DoubleSlitParams):
     return _scalar_like(np.square(a + b) / denom, x, t)
 
 
-def rho_peak_bound(params: DoubleSlitParams, t):
-    """Analytic upper bound on max_x rho(x, t), from the packet envelopes.
-
-    |psi_l + psi_r|^2 <= 4 max_j |psi_j|^2 and each packet peaks at
-    (2 pi)^(-1/2) / sigma_t; the bound overestimates the true maximum by at
-    most a factor 4 (well-separated slits) and is tight for x_half = 0.
-    """
-    return 4.0 / (norm_constant(params) * np.sqrt(2.0 * np.pi) * sigma_t(params, t))
-
-
 def node_floor(params: DoubleSlitParams, t):
-    """Density threshold below which the guidance fields are undefined at time t."""
-    return NODE_FLOOR_RELATIVE * rho_peak_bound(params, t)
+    """Density threshold below which the guidance fields are undefined at time t.
+
+    It is ``NODE_FLOOR_RELATIVE`` times an analytic upper bound on max_x
+    rho(x, t), from the packet envelopes: |psi_l + psi_r|^2 <= 4 max_j
+    |psi_j|^2 and each packet peaks at (2 pi)^(-1/2) / sigma_t, so the
+    bound overestimates the true maximum by at most a factor 4
+    (well-separated slits) and is tight for x_half = 0.
+    """
+    return _node_floor(np.sqrt(2.0 * np.pi) * norm_constant(params) * sigma_t(params, t))
+
+
+def _node_floor(denom):
+    """The node floor over the density denominator sqrt(2 pi) sigma_t N of
+    :func:`_density_terms`: the peak bound is 4 / denom."""
+    return NODE_FLOOR_RELATIVE * (4.0 / denom)
 
 
 def _flush_tail(lower):
@@ -495,7 +498,7 @@ class GuidanceField:
         the sign of t; the terms' phi uses |t|, so the sign goes into the two
         per-time coefficients.  The revised law adds ``delta_p * rho(x0, t) /
         rho(x, t)``, both densities from the one position law at t.  The node
-        floor is :func:`node_floor`: :func:`rho_peak_bound` is 4 / denom.
+        floor is :func:`node_floor`'s, from the same denominator.
         """
         params = self.params
         x = np.asarray(x, dtype=float)
@@ -503,7 +506,7 @@ class GuidanceField:
         a, b, half, total, denom = _density_terms(x, law)
         width = law.width
         density = total / denom
-        valid = np.asarray(density > NODE_FLOOR_RELATIVE * (4.0 / denom)) & np.isfinite(density)
+        valid = np.asarray(density > _node_floor(denom)) & np.isfinite(density)
         sign = np.sign(t)
         kappa = sign * (spread(params, t) / width) * (HBAR_NM2_ME_PS / (2.0 * params.sigma * width))
         fringe = sign * (HBAR_NM2_ME_PS * params.x_half / width) / width

@@ -35,25 +35,22 @@ import pytest
 from scipy.integrate import quad
 
 from qtraj import (
-    Histogram,
     InitialCondition,
     IntegrationSchedule,
     SeededStream,
+    band_metrics,
     build_histogram,
-    central_dip_metric,
     default_config,
-    default_histogram_specs,
     ks_test,
     make_initial_conditions,
     momentum_cdf,
     position_cdf,
     run_ensemble,
-    side_band_peak,
     slice_values,
 )
 from qtraj.cli import main
 from qtraj.dynamics import rk4_batch
-from qtraj.ensemble import _band_masks
+from qtraj.ensemble import Histogram, histogram_edges
 from qtraj.wavefield import (
     continuity_residual,
     continuity_truncation_bound,
@@ -258,25 +255,25 @@ def test_criterion_06_initial_momentum_ks(params, full_ensembles):
     assert ks_dbb.statistic == pytest.approx(expected_point_mass_stat, abs=1e-6)
 
 
-def _quantum_dip(params, spec):
-    """central_dip_metric of the exact momentum density, binned by quadrature."""
-    edges = spec.edges
+def _quantum_dip(params, edges):
+    """Central-dip ratio of the exact momentum density, binned by quadrature."""
     density = momentum_cdf(params).pdf
     mass = np.array([quad(lambda p: float(density(p)), a, b)[0] for a, b in zip(edges[:-1], edges[1:])])
     h = Histogram(
         edges=edges, counts=mass, density=mass / (mass.sum() * np.diff(edges)), n_below=0, n_above=0
     )
-    return central_dip_metric(h, params)
+    return band_metrics(h, params)[0]
 
 
 def _dip_and_se(h, params):
-    """central_dip_metric of a histogram and its delta-method standard error.
+    """Central-dip ratio of a histogram and its delta-method standard error.
 
     The bands have equal-width bins, so the ratio is (C_in/n_in)/(C_out/n_out)
     in the band counts; for multinomial counts Var(log ratio) = 1/C_in + 1/C_out.
     """
-    inner, outer = _band_masks(h, params.sigma_p)
-    ratio = central_dip_metric(h, params)
+    centers, sp = np.abs(h.centers), params.sigma_p
+    inner, outer = centers < 0.5 * sp, (centers > 0.5 * sp) & (centers < 1.5 * sp)  # band_metrics' bands
+    ratio = band_metrics(h, params)[0]
     return ratio, ratio * float(np.sqrt(1.0 / h.counts[inner].sum() + 1.0 / h.counts[outer].sum()))
 
 
@@ -295,18 +292,18 @@ def test_criterion_07_central_dip(params, full_ensembles):
     """Trajectory momentum histograms at t=3.5 sit measurably below the quantum
     central-dip ratio, and the dbb ratio is the one the Bohm law itself fixes."""
     t = 3.5
-    _, mom_spec = default_histogram_specs(params, 5.0)
-    quantum = _quantum_dip(params, mom_spec)
+    _, mom_edges = histogram_edges(params, 5.0)
+    quantum = _quantum_dip(params, mom_edges)
     dips, ses, peaks = {}, {}, {}
     for theory in ("dbb", "revised"):
         result, _ = full_ensembles[theory]
-        h = build_histogram(np.asarray(slice_values(result, t, "momentum").values), mom_spec)
+        h = build_histogram(np.asarray(slice_values(result, t, "momentum").values), mom_edges)
         dips[theory], ses[theory] = _dip_and_se(h, params)
-        peaks[theory] = side_band_peak(h, params)
+        peaks[theory] = band_metrics(h, params)[1]
     x0 = full_ensembles["dbb"][0].trajectories.ics.x0
-    closed = central_dip_metric(build_histogram(_closed_form_dbb_momenta(x0, t, params), mom_spec), params)
+    closed = band_metrics(build_histogram(_closed_form_dbb_momenta(x0, t, params), mom_edges), params)[0]
     direct, direct_se = _dip_and_se(
-        build_histogram(make_initial_conditions(N_FULL, SeededStream(404), params).p0, mom_spec), params
+        build_histogram(make_initial_conditions(N_FULL, SeededStream(404), params).p0, mom_edges), params
     )
 
     def below_quantum(ratio, se):

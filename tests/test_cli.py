@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -18,11 +19,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.introspect import opt_func_info
 
-from qtraj import DoubleSlitParams, EnsembleResult, default_config, default_histogram_specs, p_bb, rho, run_ensemble
+from qtraj import DoubleSlitParams, EnsembleResult, default_config, p_bb, rho, run_ensemble
 from qtraj import dynamics, ensemble
 from qtraj.cli import (
     CONFIG_DEFAULTS,
     ConfigError,
+    _total_mass,
     build_slice_report,
     main,
     parse_config,
@@ -440,18 +442,18 @@ def test_coarse_bins_still_produce_reports(tmp_path, capsys):
 
 
 def test_histogram_ranges_follow_bins_and_t_final(tmp_path):
-    """Both observables' edges are those of default_histogram_specs for the
-    run's physics, t_final and bins."""
+    """Both observables' edges are those of histogram_edges for the run's
+    physics, t_final and bins."""
     cfg = _write_config(tmp_path, bins=7, t_final_ps=4, slices_ps="0, 2, 4", out_dir=tmp_path / "o7", **FAST)
     assert main(["run", "--config", str(cfg)]) == 0
-    specs = dict(zip(("position", "momentum"), default_histogram_specs(DoubleSlitParams(50.0, 10.0), 4.0, 7)))
+    edges = dict(zip(("position", "momentum"), ensemble.histogram_edges(DoubleSlitParams(50.0, 10.0), 4.0, 7)))
     blocks = (tmp_path / "o7" / "histograms.txt").read_text(encoding="ascii").split("[slice]")[1:]
     assert len(blocks) == 6
     for block in blocks:
         observable = block.split("observable = ", 1)[1].split(" ", 1)[0]
         table = block.split("columns = bin_lo bin_hi count density oracle_density\n")[1]
         rows = [line.split() for line in table.splitlines() if line]
-        assert [row[0] for row in rows] + [rows[-1][1]] == [f"{edge:.10g}" for edge in specs[observable].edges]
+        assert [row[0] for row in rows] + [rows[-1][1]] == [f"{edge:.10g}" for edge in edges[observable]]
 
 
 def test_verify_passes(capsys):
@@ -492,6 +494,21 @@ def test_verify_normalizations_hold_to_1e_11(physics):
     assert max(_norm_errors(checks)) <= 1e-11
     failed = [name for name, passed, _ in checks if not passed]
     assert failed == (["schrodinger_residual"] if physics[1] == 0.1 else [])
+
+
+def test_verify_normalization_memory_is_bounded():
+    """At X = 5000 nm, sigma = 10 nm the t = 5 ps position law takes 421,893
+    trapezoid nodes, 27 MB of traced peak as one array; summed in chunks it
+    stays below 8 MB and integrates to 1 within 1e-11."""
+    law = position_cdf(DoubleSlitParams(5000.0, 10.0), 5.0)
+    tracemalloc.start()
+    try:
+        mass = _total_mass(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(mass - 1.0) <= 1e-11
+    assert peak < 8e6, f"normalization sum peaked at {peak / 1e6:.1f} MB"
 
 
 def test_verify_normalization_flags_a_scaled_density(monkeypatch):

@@ -11,26 +11,21 @@ from scipy.stats import kstest, norm
 from qtraj import (
     EnsembleConfig,
     EnsembleResult,
-    Histogram,
-    HistogramSpec,
     IntegrationSchedule,
     SeededStream,
-    SliceOutOfRange,
+    band_metrics,
     build_histogram,
-    central_dip_metric,
     default_config,
-    default_histogram_specs,
-    ks_critical,
     ks_test,
     make_initial_conditions,
     momentum_cdf,
     position_cdf,
     run_ensemble,
-    side_band_peak,
     slice_values,
 )
 from qtraj import ensemble
 from qtraj.dynamics import TrajectoryColumns, rk4_batch
+from qtraj.ensemble import Histogram, histogram_edges, ks_critical
 from qtraj.wavefield import GuidanceField, p_bb, p_revised, rho
 
 
@@ -51,13 +46,16 @@ def small_run_dbb(params):
 # ---------------------------------------------------------------------------
 
 
-def test_histogram_spec_validation():
-    with pytest.raises(ValueError):
-        HistogramSpec(n_bins=0, lo=0.0, hi=1.0)
-    with pytest.raises(ValueError):
-        HistogramSpec(n_bins=10, lo=1.0, hi=1.0)
-    spec = HistogramSpec(n_bins=4, lo=0.0, hi=2.0)
-    np.testing.assert_allclose(spec.edges, [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_histogram_edge_validation(params):
+    """build_histogram rejects fewer than 2 edges (np.histogram takes one
+    edge without complaint) and edges that do not strictly increase."""
+    for edges in ([], [0.0], [1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan, 1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_histogram([0.5], edges)
+    for n_bins in (1, 4):
+        pos, mom = histogram_edges(params, 5.0, n_bins)
+        np.testing.assert_array_equal(pos, np.linspace(pos[0], pos[-1], n_bins + 1))
+        np.testing.assert_array_equal(mom, np.linspace(mom[0], mom[-1], n_bins + 1))
 
 
 def test_config_rejects_out_of_span_slices(schedule):
@@ -77,11 +75,12 @@ def test_config_rejects_no_bins(params):
         default_config(params, n_bins=0)
 
 
-def test_default_histogram_specs_symmetric(params):
-    pos, mom = default_histogram_specs(params, 5.0)
-    assert pos.lo == -pos.hi and mom.lo == -mom.hi
-    assert mom.hi == pytest.approx(6.0 * params.sigma_p)
-    assert pos.hi > params.x_half + 10.0 * params.sigma
+def test_histogram_edges_symmetric(params):
+    pos, mom = histogram_edges(params, 5.0)
+    assert pos.size == mom.size == 201
+    assert pos[0] == -pos[-1] and mom[0] == -mom[-1]
+    assert mom[-1] == pytest.approx(6.0 * params.sigma_p)
+    assert pos[-1] > params.x_half + 10.0 * params.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +367,9 @@ def test_slicer_on_a_final_interval_inside_tol(params):
 
 def test_slice_time_out_of_range(small_run):
     _, res = small_run
-    with pytest.raises(SliceOutOfRange):
+    with pytest.raises(ValueError, match="outside"):
         slice_values(res, 5.5, "position")
-    with pytest.raises(SliceOutOfRange):
+    with pytest.raises(ValueError, match="outside"):
         slice_values(res, -0.1, "position")
     with pytest.raises(ValueError):
         slice_values(res, 1.0, "energy")
@@ -382,7 +381,7 @@ def test_slice_time_out_of_range(small_run):
 
 
 def test_build_histogram_counts_and_density():
-    h = build_histogram([0.5, 1.5, 1.5, 5.0, -1.0], HistogramSpec(n_bins=2, lo=0.0, hi=2.0))
+    h = build_histogram([0.5, 1.5, 1.5, 5.0, -1.0], np.linspace(0.0, 2.0, 3))
     np.testing.assert_array_equal(h.counts, [1, 2])
     assert h.n_below == 1 and h.n_above == 1
     np.testing.assert_allclose(h.density, [1 / 3.0, 2 / 3.0])
@@ -391,7 +390,7 @@ def test_build_histogram_counts_and_density():
 
 
 def test_build_histogram_empty_range():
-    h = build_histogram([10.0, 12.0], HistogramSpec(n_bins=4, lo=0.0, hi=1.0))
+    h = build_histogram([10.0, 12.0], np.linspace(0.0, 1.0, 5))
     assert h.counts.sum() == 0
     assert np.all(h.density == 0.0)
     assert h.n_above == 2
@@ -454,47 +453,47 @@ def test_ks_rejects_shifted_density(params):
 
 def _flat_histogram(params, inner_level, outer_level):
     sp = params.sigma_p
-    spec = HistogramSpec(n_bins=120, lo=-3.0 * sp, hi=3.0 * sp)
-    centers = 0.5 * (spec.edges[:-1] + spec.edges[1:])
+    edges = np.linspace(-3.0 * sp, 3.0 * sp, 121)
+    centers = 0.5 * (edges[:-1] + edges[1:])
     density = np.where(np.abs(centers) < 0.5 * sp, inner_level, outer_level)
-    counts = np.rint(density * np.diff(spec.edges) * 1e6).astype(int)
+    counts = np.rint(density * np.diff(edges) * 1e6).astype(int)
     return Histogram(
-        edges=spec.edges, counts=counts, density=density, n_below=0, n_above=0
+        edges=edges, counts=counts, density=density, n_below=0, n_above=0
     )
 
 
 def test_central_dip_metric_exact_ratio(params):
     h = _flat_histogram(params, inner_level=0.2, outer_level=0.8)
-    assert central_dip_metric(h, params) == pytest.approx(0.25, rel=1e-12)
+    assert band_metrics(h, params)[0] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_central_dip_metric_infinite_when_side_empty(params):
     h = _flat_histogram(params, inner_level=0.3, outer_level=0.0)
-    assert central_dip_metric(h, params) == np.inf
+    assert band_metrics(h, params)[0] == np.inf
 
 
 def test_central_dip_metric_requires_symmetric_range(params):
-    h = build_histogram([0.5], HistogramSpec(n_bins=10, lo=-1.0, hi=2.0))
+    h = build_histogram([0.5], np.linspace(-1.0, 2.0, 11))
     with pytest.raises(ValueError):
-        central_dip_metric(h, params)
+        band_metrics(h, params)
 
 
 def test_side_band_peak_exact(params):
     h = _flat_histogram(params, inner_level=0.2, outer_level=0.8)
-    assert side_band_peak(h, params) == pytest.approx(0.8, rel=1e-12)
+    assert band_metrics(h, params)[1] == pytest.approx(0.8, rel=1e-12)
 
 
 def test_direct_momentum_draws_have_central_peak(params):
-    _, mom = default_histogram_specs(params, 5.0)
+    _, mom = histogram_edges(params, 5.0)
     draws = make_initial_conditions(20000, SeededStream(61), params, 0.0, "revised").p0
     h = build_histogram(draws, mom)
-    assert central_dip_metric(h, params) > 1.0
+    assert band_metrics(h, params)[0] > 1.0
 
 
 def test_momentum_histogram_matches_density_within_poisson_bars(params):
     """Bin densities sit within 4 sigma Poisson bars of the target on >=95% of bins."""
     n = 40000
-    _, mom = default_histogram_specs(params, 5.0)
+    _, mom = histogram_edges(params, 5.0)
     draws = make_initial_conditions(n, SeededStream(71), params, 0.0, "revised").p0
     h = build_histogram(draws, mom)
     width = np.diff(h.edges)

@@ -20,6 +20,7 @@ import pytest
 
 import qtraj.dynamics
 import qtraj.ensemble
+import qtraj.wavefield
 from qtraj import SeededStream, make_initial_conditions
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qtraj"
@@ -28,6 +29,44 @@ _SOURCES = sorted(path for path in _PACKAGE.glob("*.py") if path.name != "__init
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined(names):
+    """``module:name`` for every function or class in the package named in ``names``."""
+    return [
+        f"{path.name}:{node.name}"
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in names
+    ]
+
+
+def test_public_names():
+    """The package exports exactly the 24 names of the pipeline, each one
+    resolves, and no module defines the deleted histogram spec, slice
+    exception, peak bound or per-band metrics."""
+    public = {
+        "HBAR_NM2_ME_PS", "THEORIES", "DoubleSlitParams", "NodeSingularity",
+        "psi", "rho", "p_bb", "p_revised", "position_cdf", "momentum_cdf",
+        "schrodinger_residual", "continuity_residual",
+        "SeededStream", "InitialCondition", "make_initial_conditions",
+        "IntegrationSchedule", "EnsembleConfig", "EnsembleResult", "default_config", "run_ensemble",
+        "slice_values", "build_histogram", "ks_test", "band_metrics",
+    }
+    assert len(qtraj.__all__) == len(public) == 24
+    assert set(qtraj.__all__) == public
+    assert all(getattr(qtraj, name, None) is not None for name in public)
+    modules = {
+        qtraj.dynamics: ("Trajectory",),
+        qtraj.ensemble: ("Histogram", "KSResult", "TimeSlice", "histogram_edges", "ks_critical"),
+        qtraj.wavefield: (
+            "continuity_truncation_bound", "envelope_density", "node_floor", "norm_constant",
+            "packet_amplitude", "sigma_t", "spread",
+        ),
+    }
+    assert all(hasattr(module, name) for module, names in modules.items() for name in names)
+    deleted = {"HistogramSpec", "SliceOutOfRange", "rho_peak_bound", "central_dip_metric", "side_band_peak"}
+    assert not _defined(deleted), f"deleted names are back: {_defined(deleted)}"
 
 
 def _imports(tree: ast.Module):
@@ -226,12 +265,7 @@ def test_law_cdfs_go_through_the_law_object():
     assert not outside, f"wavefield.py calls _cumulative outside ClosedFormCDF.__call__ at lines {outside}"
     deleted = {"mass_coordinate", "momentum_cumulative", "momentum_density"}
     deleted |= {"stack", "_position_law", "_shared_position_cdf"}
-    defined = [
-        f"{path.name}:{node.name}"
-        for path in sorted(_PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in deleted
-    ]
+    defined = _defined(deleted)
     assert not defined, f"law functions outside the law object: {defined}"
     mentions = [path.name for path in _PACKAGE.glob("*.py") if "cached_property" in path.read_text(encoding="utf-8")]
     assert not mentions, f"cached_property in {mentions}"
