@@ -205,12 +205,9 @@ def test_rho_shapes_and_broadcast_bits(params):
 
 
 def test_rho_peak_bound_dominates_grid(params):
-    """node_floor is NODE_FLOOR_RELATIVE times the envelope bound
-    4 / (sqrt(2 pi) N sigma_t) on max_x rho, which the density never exceeds."""
+    """The peak bound node_floor / NODE_FLOOR_RELATIVE is never exceeded by rho."""
     x = np.linspace(-200.0, 200.0, 20001)
     for t in (0.0, 1.0, 2.0, 3.5, 5.0):
-        bound = 4.0 / (norm_constant(params) * np.sqrt(2.0 * np.pi) * sigma_t(params, t))
-        assert node_floor(params, t) == pytest.approx(NODE_FLOOR_RELATIVE * bound, rel=1e-15)
         assert rho(x, t, params).max() <= node_floor(params, t) / NODE_FLOOR_RELATIVE
 
 
@@ -348,6 +345,14 @@ def test_p_bb_raises_below_node_floor(params):
         p_bb(400.0, 1.0, params)
     with pytest.raises(NodeSingularity):
         p_bb(np.array([0.0, 400.0]), 1.0, params)
+
+
+def test_node_floor_tracks_peak_bound(params):
+    """node_floor is NODE_FLOOR_RELATIVE times the closed-form envelope bound
+    4 / (sqrt(2 pi) N sigma_t) on max_x rho."""
+    for t in (0.0, 2.0, 5.0):
+        bound = 4.0 / (norm_constant(params) * np.sqrt(2.0 * np.pi) * sigma_t(params, t))
+        assert node_floor(params, t) == pytest.approx(NODE_FLOOR_RELATIVE * bound, rel=1e-15)
 
 
 @pytest.mark.parametrize("theory", ["dbb", "revised"])
