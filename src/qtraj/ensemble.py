@@ -16,6 +16,7 @@ Fixed-size batches bound the working set of each transport call.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,6 +34,49 @@ _BATCH_SIZE = 2048
 
 #: Trajectories per serialized CSV block; bounds the memory of writing and hashing.
 _CSV_BLOCK = 128
+
+#: 10**k for the scalings k = 16 - X, X in [-4, 14], of a '%.17g' fixed-notation
+#: value; every power up to 10**22 is an exact double.
+_POW10 = np.array([float(10**k) for k in range(21)])
+
+#: Veltkamp's splitter 2**27 + 1: a double splits exactly into two 26-bit halves.
+_SPLITTER = 134217729.0
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of the fast '%.17g' path, built on first use.
+
+    A value's 48-byte field is six little-endian words: its sign at byte 0,
+    then 21 digit slots, each followed by a slot for the point.  Slot 0 is a
+    constant '0' (byte 6), slots 1-20 are the 17 digits zero-padded to 20, as
+    five 4-digit groups.  Slot s holds the 10**(X + 4 - s) digit.  Returns
+    each group's 8 bytes (its digits, 0xff point slots), the trailing zeros
+    of each group, and per (units slot u, last kept slot L) the mask that
+    keeps slots min(u, 4)..L and puts '.' after slot u when L > u.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    groups = np.full((10000, 8), 0xFF, np.uint8)
+    groups[:, ::2] = digits
+    z = digits == ord("0")
+    trailing_zeros = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0].astype(np.int8))))
+    slot, units, last = np.arange(21), np.arange(19)[:, None, None], np.arange(21)[None, :, None]
+    masks = np.zeros((19, 21, 48), np.uint8)
+    masks[..., 0] = 0xFF
+    masks[..., 6::2] = ((slot >= np.minimum(units, 4)) & (slot <= last)) * 0xFF
+    masks[..., 7::2] = ((slot == units) & (last > units)) * ord(".")
+    return groups.view("<u8").ravel(), trailing_zeros, masks.view("<u8").reshape(19 * 21, 6)
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+#: Word 0 of a field before masking: NUL sign, the constant '0' and its point slot.
+_FIELD_HEAD = np.frombuffer(b"\0" * 6 + b"0\xff", "<u8")[0]
 
 #: Two-sided KS critical coefficients c(alpha), statistic threshold c/sqrt(n).
 _KS_COEFFICIENTS = {0.01: 1.63, 0.05: 1.36}
@@ -93,6 +137,71 @@ def default_config(
     )
 
 
+def _scaled(a: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """round-half-even(a * 10**(16 - exponent)) as int64, and the fraction of the exact product.
+
+    Dekker's TwoProduct gives the product exactly as p + err.  When
+    p >= 2**53 it is an even integer, so the rounded value is p + rint(err).
+    """
+    k = 16 - exponent
+    b, b_hi, b_lo = np.take(_POW10, k), np.take(_POW10_HI, k), np.take(_POW10_LO, k)
+    p = a * b
+    a_hi, a_lo = _split(a)
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), err - np.floor(err)
+
+
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of every value as a 48-byte row padded with NUL bytes.
+
+    Values in [1e-4, 1e15) in magnitude (``%g``'s fixed notation) take an
+    exact numpy path: their 17 digits D = round-half-even(|v| * 10**(16 - X))
+    must lie in [10**16, 10**17).  The exponent X is guessed from log10 and
+    moved by one where D falls outside, so only +, -, *, rint and floor
+    decide a digit.  Every other value, one whose D is still outside, and
+    one whose scaled remainder lies within 1e-6 of a decimal tie, goes
+    through Python's ``'%.17g'``.
+    """
+    group_bytes, group_trailing_zeros, field_masks = _digit_tables()
+    v = np.ravel(values)
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a = np.where(fast, a, 1.0)
+    exponent = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 14)
+    digits, frac = _scaled(a, exponent)
+    off = np.flatnonzero((digits < 10**16) | (digits >= 10**17))
+    exponent[off] += np.where(digits[off] < 10**16, -1, 1)
+    digits[off], frac[off] = _scaled(a[off], exponent[off])
+    fast &= (digits >= 10**16) & (digits < 10**17) & (np.abs(frac - 0.5) > 1e-6)
+
+    groups = np.empty((5, n), np.int64)
+    rest = digits
+    for i, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+        groups[i] = rest // scale
+        rest = rest - groups[i] * scale
+    groups[4] = rest
+    tz, zero = np.take(group_trailing_zeros, groups), groups == 0
+    trailing = tz[4] + zero[4] * (tz[3] + zero[3] * (tz[2] + zero[2] * tz[1]))
+    units = exponent + 4
+    last = np.maximum(units, 20 - trailing)
+
+    out = np.empty((n, 6), np.uint64)
+    out[:, 0] = _FIELD_HEAD | (v < 0).astype(np.uint64) * ord("-")
+    out[:, 1:] = np.take(group_bytes, groups).T
+    out &= np.take(field_masks, units * 21 + last, axis=0)
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = _byte_rows([b"%.17g" % s for s in v[slow].tolist()], 48)
+    return out.reshape(np.shape(values) + (48,))
+
+
+def _byte_rows(strings: list, width: int | None = None) -> np.ndarray:
+    """ASCII strings as rows of a uint8 matrix, padded with NUL bytes."""
+    return np.array(strings, dtype=f"S{width or ''}").view(np.uint8).reshape(len(strings), -1)
+
+
 @dataclass
 class EnsembleResult:
     """All trajectories of one run plus the configuration that made them."""
@@ -110,24 +219,34 @@ class EnsembleResult:
         """The samples as CSV text, one row per (trajectory, sample), in blocks.
 
         The header comes first, then the rows of ``_CSV_BLOCK`` trajectories
-        per block.  Values use 17 significant digits, so they round-trip
-        exactly; the shared time column is formatted once.
+        per block.  Values are ``'%.17g'`` (17 significant digits), so they
+        round-trip exactly.  A block's rows are one uint8 matrix of
+        NUL-padded fields, compacted by deleting the NUL bytes: traj_id and
+        status are formatted once per lane, t once per record time, and x
+        and p by :func:`_format_17g`.
         """
         cols = self.trajectories
         yield "traj_id,t,x,p,status\n"
-        times = np.array(["%.17g" % t for t in cols.t.tolist()], dtype=object)
+        times = _byte_rows(["%.17g" % t for t in cols.t.tolist()])
         for start in range(0, len(cols), _CSV_BLOCK):
             lanes = slice(start, start + _CSV_BLOCK)
             n_rec = cols.n_records[lanes]
-            recorded = np.arange(times.size) < n_rec[:, None]
-            n_rows = int(n_rec.sum())
-            fields: list = [None] * (5 * n_rows)
-            fields[0::5] = np.repeat(np.arange(start, start + n_rec.size), n_rec).tolist()
-            fields[1::5] = np.broadcast_to(times, recorded.shape)[recorded].tolist()
-            fields[2::5] = cols.x[lanes][recorded].tolist()
-            fields[3::5] = cols.p[lanes][recorded].tolist()
-            fields[4::5] = np.repeat(cols.status[lanes], n_rec).tolist()
-            yield ("%d,%s,%.17g,%.17g,%s\n" * n_rows) % tuple(fields)
+            recorded = np.arange(len(times)) < n_rec[:, None]
+            xp = _format_17g(np.stack((cols.x[lanes][recorded], cols.p[lanes][recorded]), axis=1))
+            fields = (
+                np.repeat(_byte_rows(["%d" % i for i in range(start, start + n_rec.size)]), n_rec, axis=0),
+                np.take(times, np.nonzero(recorded)[1], axis=0),
+                xp[:, 0],
+                xp[:, 1],
+                np.repeat(_byte_rows(cols.status[lanes].tolist()), n_rec, axis=0),
+            )
+            rows = np.zeros((len(xp), sum(f.shape[1] + 1 for f in fields)), np.uint8)
+            end = 0
+            for f, separator in zip(fields, b",,,,\n"):
+                rows[:, end : end + f.shape[1]] = f
+                end += f.shape[1] + 1
+                rows[:, end - 1] = separator
+            yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
     def data_digest(self) -> str:
         """SHA-256 over the serialized samples; equal digests = equal ensembles."""

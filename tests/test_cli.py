@@ -733,14 +733,20 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-def test_trajectories_csv_matches_row_by_row_serialization(tmp_path):
+@pytest.mark.parametrize("theory", ["dbb", "revised"])
+def test_trajectories_csv_matches_row_by_row_serialization(tmp_path, theory):
     """Blocks of the CSV writer equal one formatted row per sample, across
-    block boundaries and stopped lanes; the digest is the file's sha256."""
-    out = tmp_path / "rev"
-    assert main(["run", "--theory", "revised", "--n", "600", "--seed", "1", "--out", str(out)]) == 0
-    setup = parse_config(None, {"theory": "revised", "n_traj": "600", "seed": "1"})
+    block boundaries, stopped lanes (revised) and the p = 0 and -0 that
+    Bohm's field gives at t0 (dbb), which take the per-value fallback of the
+    float formatter; the digest is the file's sha256."""
+    out = tmp_path / theory
+    assert main(["run", "--theory", theory, "--n", "600", "--seed", "1", "--out", str(out)]) == 0
+    setup = parse_config(None, {"theory": theory, "n_traj": "600", "seed": "1"})
     result = run_ensemble(setup.config, setup.params)
-    assert 0 < result.status_counts["node_stalled"] < 600
+    if theory == "revised":
+        assert 0 < result.status_counts["node_stalled"] < 600
+    else:
+        assert {"0", "-0"} <= {f"{p:.17g}" for p in result.trajectories.p[:, 0]}
     rows = ["traj_id,t,x,p,status"]
     for i, traj in enumerate(result.trajectories):
         rows += [f"{i},{t:.17g},{x:.17g},{p:.17g},{traj.status}" for t, x, p in zip(traj.t, traj.x, traj.p)]
@@ -761,6 +767,29 @@ def test_writers_return_the_sha256_of_their_bytes(tmp_path):
         assert written.sha256 == hashlib.sha256(written.path.read_bytes()).hexdigest()
         assert Path(written) == written.path  # usable wherever a path is
     assert write_trajectories(result, tmp_path / "t2.csv").sha256 == result.data_digest()
+
+
+def test_csv_writer_memory_is_bounded(tmp_path):
+    """Writing trajectories.csv holds one block of _CSV_BLOCK lanes at a time:
+    its traced peak does not grow from 2048 to 8192 lanes by more than one
+    block's x and p fields, and stays below 8 MB."""
+    params = DoubleSlitParams(50.0, 10.0)
+    full = run_ensemble(default_config(params, theory="dbb", n_traj=8192, master_seed=1), params)
+    cols = full.trajectories
+    head = dynamics.TrajectoryColumns(
+        cols.ics[:2048], cols.t, cols.x[:2048], cols.p[:2048], cols.n_records[:2048], cols.status[:2048]
+    )
+    peaks = []
+    for result in (EnsembleResult(full.config, params, head), full):
+        tracemalloc.start()
+        try:
+            write_trajectories(result, tmp_path / "t.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block_fields = ensemble._CSV_BLOCK * cols.t.size * 2 * 48
+    assert peaks[1] - peaks[0] < block_fields, f"peaks {peaks[0] / 1e6:.2f} -> {peaks[1] / 1e6:.2f} MB"
+    assert max(peaks) < 8e6, f"CSV writer peaked at {max(peaks) / 1e6:.1f} MB"
 
 
 def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch, seed_tables):

@@ -1,11 +1,14 @@
 """Ensemble statistics: runs, time slices, histograms, KS, dip metrics."""
 
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
 from qtraj import (
@@ -130,6 +133,37 @@ def test_rows_format(small_run):
     assert first[0] == "0" and first[4] in {"completed", "node_stalled", "exited_domain"}
     # 17 significant digits round-trip exactly
     assert float(first[2]) == res.trajectories[0].x[0]
+
+
+#: Values at the edges of the formatter's fast path: signed zeros, non-finite
+#: values, the smallest subnormal, the ends of [1e-4, 1e15) with the floats
+#: just below them, the literals 9.9999999999999999e k (which round up to
+#: the next power of ten) and the floats just below each power of ten, where
+#: log10 may guess the exponent one too high, and exact decimal ties in the
+#: 17th digit.
+_FORMAT_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+    1e-4, math.nextafter(1e-4, 0.0), 1e15, math.nextafter(1e15, 0.0),
+    *(float(f"9.9999999999999999e{k}") for k in range(-5, 16)),
+    *(math.nextafter(10.0**k, 0.0) for k in range(-4, 16)),
+    100000000000000.125, 10000000000000.0625, -100000000000000.125,
+]  # fmt: skip
+
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+_FIXED_NOTATION = st.builds(
+    lambda v, negative: -v if negative else v, st.floats(1e-4, 1e15, exclude_max=True), st.booleans()
+)
+_SHORT_DECIMALS = st.builds(lambda m, k: m * 10.0**k, st.integers(-(10**6), 10**6), st.integers(-10, 9))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_FLOAT_BITS, _FIXED_NOTATION, _SHORT_DECIMALS), min_size=1, max_size=64))
+@example(_FORMAT_EDGES)
+def test_csv_float_fields_equal_percent_17g(values):
+    """The CSV's float formatter gives '%.17g' byte for byte: on any float64
+    bit pattern, across %g's fixed-notation range and at its edges."""
+    fields = ensemble._format_17g(np.array(values))
+    assert [bytes(row).replace(b"\0", b"") for row in fields] == [b"%.17g" % v for v in values]
 
 
 # ---------------------------------------------------------------------------
