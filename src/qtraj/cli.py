@@ -16,7 +16,9 @@ reproduces the run.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
+import os
 import sys
 import time
 from collections.abc import Iterable
@@ -244,16 +246,15 @@ class WrittenFile:
         return str(self.path)
 
 
-def _write_hashed(path: str | Path, chunks: Iterable[str], what: str) -> WrittenFile:
-    """Write the chunks as ASCII, hashing each one on its way to the file."""
+def _write_hashed(path: str | Path, chunks: Iterable[bytes], what: str) -> WrittenFile:
+    """Write the chunks, hashing each one on its way to the file."""
     path = Path(path)
     digest = hashlib.sha256()
     try:
         with path.open("wb") as handle:
             for chunk in chunks:
-                data = chunk.encode("ascii")
-                handle.write(data)
-                digest.update(data)
+                handle.write(chunk)
+                digest.update(chunk)
     except OSError as exc:
         raise OSError(f"writing {what} to {path}: {exc}") from exc
     return WrittenFile(path, digest.hexdigest())
@@ -326,12 +327,12 @@ def _report_lines(report: SliceReport) -> list[str]:
         lines.append(f"central_dip_ratio = {report.central_dip:.10g}")
         lines.append(f"side_band_peak = {report.side_peak:.10g}")
     lines.append("columns = bin_lo bin_hi count density oracle_density")
-    edges = report.histogram.edges
-    for i in range(report.histogram.counts.size):
-        lines.append(
-            f"{edges[i]:.10g} {edges[i + 1]:.10g} {report.histogram.counts[i]:d} "
-            f"{report.histogram.density[i]:.10g} {report.oracle_density[i]:.10g}"
-        )
+    hist = report.histogram
+    edges = hist.edges.tolist()  # Python floats and ints format faster than numpy scalars
+    for lo, hi, count, density, oracle in zip(
+        edges, edges[1:], hist.counts.tolist(), hist.density.tolist(), report.oracle_density.tolist()
+    ):
+        lines.append(f"{lo:.10g} {hi:.10g} {count:d} {density:.10g} {oracle:.10g}")
     lines.append("")
     return lines
 
@@ -341,7 +342,7 @@ def write_histograms(reports: list[SliceReport], path: str | Path) -> WrittenFil
     lines: list[str] = []
     for report in reports:
         lines.extend(_report_lines(report))
-    return _write_hashed(path, ["\n".join(lines)], "histograms")
+    return _write_hashed(path, ["\n".join(lines).encode("ascii")], "histograms")
 
 
 def _utc_stamp() -> str:
@@ -389,7 +390,7 @@ def _run_one(setup: RunSetup, theory: str, workers: int, suffix: str = "") -> li
     histograms = write_histograms(reports, setup.out_dir / f"histograms{suffix}.txt")
     manifest = _write_hashed(
         setup.out_dir / f"manifest{suffix}.txt",
-        [_manifest_text(dict(setup.raw, theory=theory), started, counts, [trajectories, histograms])],
+        [_manifest_text(dict(setup.raw, theory=theory), started, counts, [trajectories, histograms]).encode("ascii")],
         "manifest",
     )
     summary = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
@@ -424,7 +425,7 @@ def cmd_compare(setup: RunSetup, workers: int) -> int:
             )
     table = "\n".join(lines)
     print(table)
-    compare = _write_hashed(setup.out_dir / "compare.txt", [table + "\n"], "compare table")
+    compare = _write_hashed(setup.out_dir / "compare.txt", [(table + "\n").encode("ascii")], "compare table")
     print(f"wrote {compare.path}")
     return 0
 
@@ -517,7 +518,26 @@ def cmd_verify(setup: RunSetup) -> int:
     return 0 if failed == 0 else 1
 
 
+def _keep_freed_heap() -> None:
+    """Start glibc's malloc at the ceiling of its adaptive thresholds
+    (mallopt(3)), so the transport's block temporaries reuse the heap instead
+    of being mapped, faulted in and returned to the kernel each time.  32 MiB
+    is the most glibc raises the mmap threshold to on 64-bit hosts
+    (DEFAULT_MMAP_THRESHOLD_MAX), and it sets the trim threshold to twice the
+    mmap threshold when it raises it.  No-op off glibc."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        glibc = None
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()  # the command line owns its process; the library leaves the allocator alone
     parser = argparse.ArgumentParser(
         prog="qtraj",
         description="Quantum trajectory ensembles for the analytic double slit under two guidance laws.",

@@ -215,8 +215,8 @@ class EnsembleResult:
         names, counts = np.unique(self.trajectories.status, return_counts=True)
         return {str(name): int(count) for name, count in zip(names, counts)}
 
-    def csv_blocks(self) -> Iterator[str]:
-        """The samples as CSV text, one row per (trajectory, sample), in blocks.
+    def csv_blocks(self) -> Iterator[bytes]:
+        """The samples as ASCII CSV bytes, one row per (trajectory, sample), in blocks.
 
         The header comes first, then the rows of ``_CSV_BLOCK`` trajectories
         per block.  Values are ``'%.17g'`` (17 significant digits), so they
@@ -226,7 +226,7 @@ class EnsembleResult:
         and p by :func:`_format_17g`.
         """
         cols = self.trajectories
-        yield "traj_id,t,x,p,status\n"
+        yield b"traj_id,t,x,p,status\n"
         times = _byte_rows(["%.17g" % t for t in cols.t.tolist()])
         for start in range(0, len(cols), _CSV_BLOCK):
             lanes = slice(start, start + _CSV_BLOCK)
@@ -246,13 +246,13 @@ class EnsembleResult:
                 rows[:, end : end + f.shape[1]] = f
                 end += f.shape[1] + 1
                 rows[:, end - 1] = separator
-            yield rows.tobytes().translate(None, b"\0").decode("ascii")
+            yield rows.tobytes().translate(None, b"\0")
 
     def data_digest(self) -> str:
         """SHA-256 over the serialized samples; equal digests = equal ensembles."""
         digest = hashlib.sha256()
         for block in self.csv_blocks():
-            digest.update(block.encode("ascii"))
+            digest.update(block)
         return digest.hexdigest()
 
 

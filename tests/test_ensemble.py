@@ -127,7 +127,7 @@ def test_shared_quantile_tables_under_thread_contention(params, monkeypatch, see
 
 def test_rows_format(small_run):
     _, res = small_run
-    rows = iter("".join(res.csv_blocks()).splitlines())
+    rows = iter(b"".join(res.csv_blocks()).decode("ascii").splitlines())
     assert next(rows) == "traj_id,t,x,p,status"
     first = next(rows).split(",")
     assert first[0] == "0" and first[4] in {"completed", "node_stalled", "exited_domain"}
