@@ -14,19 +14,18 @@ from .ensemble import (
     EnsembleResult,
     band_metrics,
     build_histogram,
-    default_config,
     ks_test,
     run_ensemble,
     slice_values,
 )
 from .sampling import (
-    THEORIES,
     InitialCondition,
     SeededStream,
     make_initial_conditions,
 )
 from .wavefield import (
     HBAR_NM2_ME_PS,
+    THEORIES,
     DoubleSlitParams,
     NodeSingularity,
     continuity_residual,
@@ -58,7 +57,6 @@ __all__ = [
     "IntegrationSchedule",
     "EnsembleConfig",
     "EnsembleResult",
-    "default_config",
     "run_ensemble",
     "slice_values",
     "build_histogram",

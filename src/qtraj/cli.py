@@ -37,15 +37,15 @@ from .ensemble import (
     TimeSlice,
     band_metrics,
     build_histogram,
-    default_config,
     histogram_edges,
     ks_test,
     run_ensemble,
     slice_values,
 )
-from .sampling import THEORIES, SeededStream, make_initial_conditions
+from .sampling import SeededStream, make_initial_conditions
 from .wavefield import (
     HBAR_NM2_ME_PS,
+    THEORIES,
     DoubleSlitParams,
     continuity_residual,
     continuity_truncation_bound,
@@ -97,10 +97,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Fully validated run inputs: physics, ensemble config, output directory."""
+    """Fully validated run inputs: physics, ensemble config, report settings, output directory."""
 
     params: DoubleSlitParams
     config: EnsembleConfig
+    slice_times: tuple[float, ...]
+    bins: int
     out_dir: Path
     raw: dict[str, str]
 
@@ -216,23 +218,15 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
         raise ConfigError("slices_ps", f"not a comma-separated list of numbers: {raw['slices_ps']!r}") from exc
     if not slice_times:
         raise ConfigError("slices_ps", "needs at least one slice time")
+    for t in slice_times:
+        if not t0 <= t <= t_final:
+            raise ConfigError("slices_ps", f"slice time {t!r} outside [{t0!r}, {t_final!r}]")
 
     schedule = IntegrationSchedule(t0=t0, t_final=t_final, dt_base=dt)
     if schedule.n_base > 2**53:  # beyond 2^53 cells, k / n_base and the record times are no longer exact
         raise ConfigError("dt_ps", f"splits [t0, t_final] into {schedule.n_base} base cells, more than 2^53")
-    try:
-        config = default_config(
-            params,
-            theory=theory,
-            n_traj=n_traj,
-            master_seed=seed,
-            schedule=schedule,
-            slice_times=slice_times,
-            n_bins=bins,
-        )
-    except ValueError as exc:
-        raise ConfigError("slices_ps", str(exc)) from exc
-    return RunSetup(params=params, config=config, out_dir=Path(out_dir), raw=raw)
+    config = EnsembleConfig(n_traj=n_traj, theory=theory, master_seed=seed, schedule=schedule)
+    return RunSetup(params=params, config=config, slice_times=slice_times, bins=bins, out_dir=Path(out_dir), raw=raw)
 
 
 @dataclass(frozen=True)
@@ -269,8 +263,6 @@ def write_trajectories(result: EnsembleResult, path: str | Path) -> WrittenFile:
 class SliceReport:
     """One slice/observable block of the histogram document."""
 
-    time: float
-    observable: str
     theory: str
     slice: TimeSlice
     histogram: Histogram
@@ -280,12 +272,12 @@ class SliceReport:
     side_peak: float | None
 
 
-def build_slice_report(result: EnsembleResult, t: float, observable: str) -> SliceReport:
-    """Slice, histogram and KS test of one observable at time t."""
+def build_slice_report(result: EnsembleResult, t: float, observable: str, bins: int) -> SliceReport:
+    """Slice, histogram over ``bins`` bins, and KS test of one observable at time t."""
     params = result.params
     config = result.config
     values = slice_values(result, t, observable)
-    position_edges, momentum_edges = histogram_edges(params, config.schedule.t_final, config.n_bins)
+    position_edges, momentum_edges = histogram_edges(params, config.schedule.t_final, bins)
     if observable == "position":
         law = position_cdf(params, t)
         hist = build_histogram(values.values, position_edges)
@@ -299,8 +291,6 @@ def build_slice_report(result: EnsembleResult, t: float, observable: str) -> Sli
             dip = peak = float("nan")
     ks = ks_test(values.values, law, alpha=0.01)
     return SliceReport(
-        time=t,
-        observable=observable,
         theory=config.theory,
         slice=values,
         histogram=hist,
@@ -313,7 +303,7 @@ def build_slice_report(result: EnsembleResult, t: float, observable: str) -> Sli
 
 def _report_lines(report: SliceReport) -> list[str]:
     lines = [
-        f"[slice] time_ps = {report.time:.10g} | observable = {report.observable} | theory = {report.theory}",
+        f"[slice] time_ps = {report.slice.time:.10g} | observable = {report.slice.observable} | theory = {report.theory}",
         f"n_contributing = {report.slice.n_contributing}",
         f"n_excluded = {report.slice.n_excluded}",
         f"n_below_range = {report.histogram.n_below}",
@@ -386,7 +376,8 @@ def _run_one(setup: RunSetup, theory: str, workers: int, suffix: str = "") -> li
     counts = result.status_counts
     setup.out_dir.mkdir(parents=True, exist_ok=True)
     trajectories = write_trajectories(result, setup.out_dir / f"trajectories{suffix}.csv")
-    reports = [build_slice_report(result, t, obs) for t in config.slice_times for obs in ("position", "momentum")]
+    slices = [(t, obs) for t in setup.slice_times for obs in ("position", "momentum")]
+    reports = [build_slice_report(result, t, obs, setup.bins) for t, obs in slices]
     histograms = write_histograms(reports, setup.out_dir / f"histograms{suffix}.txt")
     manifest = _write_hashed(
         setup.out_dir / f"manifest{suffix}.txt",
@@ -412,15 +403,15 @@ def cmd_compare(setup: RunSetup, workers: int) -> int:
     lines = ["time_ps observable dbb_ks dbb_passed revised_ks revised_passed"]
     for dbb, rev in pairs:
         lines.append(
-            f"{dbb.time:.10g} {dbb.observable} {dbb.ks.statistic:.10g} {str(dbb.ks.passed).lower()} "
+            f"{dbb.slice.time:.10g} {dbb.slice.observable} {dbb.ks.statistic:.10g} {str(dbb.ks.passed).lower()} "
             f"{rev.ks.statistic:.10g} {str(rev.ks.passed).lower()}"
         )
     lines.append("")
     lines.append("time_ps dbb_central_dip revised_central_dip dbb_side_peak revised_side_peak")
     for dbb, rev in pairs:
-        if dbb.observable == "momentum":
+        if dbb.slice.observable == "momentum":
             lines.append(
-                f"{dbb.time:.10g} {dbb.central_dip:.10g} {rev.central_dip:.10g} "
+                f"{dbb.slice.time:.10g} {dbb.central_dip:.10g} {rev.central_dip:.10g} "
                 f"{dbb.side_peak:.10g} {rev.side_peak:.10g}"
             )
     table = "\n".join(lines)
@@ -447,8 +438,8 @@ def _interior_points(
         t = rng.uniform(0.0, t_final, size=2 * n)
         hw = params.x_half + 3.0 * np.asarray(sigma_t(params, t))
         x = rng.uniform(-1.0, 1.0, size=2 * n) * hw
-        stencil = np.min([rho(x + step, t, params) for step in (-h_x, 0.0, h_x)], axis=0)
-        keep = (rho(x, t, params) >= band * envelope_density(x, t, params)) & (stencil > node_floor(params, t))
+        stencil = [rho(x + step, t, params) for step in (-h_x, 0.0, h_x)]
+        keep = (stencil[1] >= band * envelope_density(x, t, params)) & (np.min(stencil, axis=0) > node_floor(params, t))
         xs = np.concatenate([xs, x[keep]])
         ts = np.concatenate([ts, t[keep]])
     return xs[:n], ts[:n]

@@ -25,8 +25,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .dynamics import IntegrationSchedule, TrajectoryColumns, integrate_batch
-from .sampling import THEORIES, SeededStream, make_initial_conditions
-from .wavefield import DoubleSlitParams, GuidanceField
+from .sampling import SeededStream, make_initial_conditions
+from .wavefield import THEORIES, DoubleSlitParams, GuidanceField
 
 #: Trajectories per transport batch: it bounds each transport call's working
 #: set.  A lane's bits do not depend on its batch, so any size gives one result.
@@ -86,14 +86,13 @@ _OBSERVABLES = ("position", "momentum")
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Everything that determines an ensemble besides the physical params."""
+    """Everything that determines an ensemble besides the physical params;
+    the defaults are the paper's run."""
 
-    n_traj: int
-    theory: str
-    master_seed: int
-    schedule: IntegrationSchedule
-    slice_times: tuple[float, ...]
-    n_bins: int  # ranges follow: histogram_edges(params, schedule.t_final, n_bins)
+    n_traj: int = 40000
+    theory: str = "revised"
+    master_seed: int = 1
+    schedule: IntegrationSchedule = IntegrationSchedule()
 
     def __post_init__(self) -> None:
         if self.n_traj < 1:
@@ -102,11 +101,6 @@ class EnsembleConfig:
             raise ValueError(f"theory must be one of {THEORIES}, got {self.theory!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed!r}")
-        if self.n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {self.n_bins!r}")
-        for t in self.slice_times:
-            if not self.schedule.t0 <= t <= self.schedule.t_final:
-                raise ValueError(f"slice time {t!r} outside [{self.schedule.t0!r}, {self.schedule.t_final!r}]")
 
 
 def histogram_edges(params: DoubleSlitParams, t_final: float, n_bins: int = 200) -> tuple[np.ndarray, np.ndarray]:
@@ -114,27 +108,6 @@ def histogram_edges(params: DoubleSlitParams, t_final: float, n_bins: int = 200)
     x_hw = params.position_half_width(t_final)
     p_hw = 6.0 * params.sigma_p
     return np.linspace(-x_hw, x_hw, n_bins + 1), np.linspace(-p_hw, p_hw, n_bins + 1)
-
-
-def default_config(
-    params: DoubleSlitParams,
-    theory: str = "revised",
-    n_traj: int = 40000,
-    master_seed: int = 1,
-    schedule: IntegrationSchedule | None = None,
-    slice_times: tuple[float, ...] | None = None,
-    n_bins: int = 200,
-) -> EnsembleConfig:
-    sched = schedule if schedule is not None else IntegrationSchedule()
-    slices = slice_times if slice_times is not None else (sched.t0, 3.5, sched.t_final)
-    return EnsembleConfig(
-        n_traj=n_traj,
-        theory=theory,
-        master_seed=master_seed,
-        schedule=sched,
-        slice_times=tuple(slices),
-        n_bins=n_bins,
-    )
 
 
 def _scaled(a: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

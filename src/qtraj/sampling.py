@@ -28,14 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .wavefield import ClosedFormCDF, DoubleSlitParams, GuidanceField, momentum_cdf, position_cdf
+from .wavefield import THEORIES, ClosedFormCDF, DoubleSlitParams, GuidanceField, momentum_cdf, position_cdf
 
 #: ``random()`` returns k * 2**-53 for k in [0, 2**53); an exact 0 is moved to
 #: the middle of its cell, so every u lies strictly in (0, 1).  Adding this to
 #: every draw would not do: it rounds the largest draw, 1 - 2**-53, up to 1.
 _SMALLEST_U = 2.0 ** -54
-
-THEORIES = ("dbb", "revised")
 
 
 @dataclass(frozen=True)

@@ -460,6 +460,10 @@ def momentum_cdf(params: DoubleSlitParams) -> ClosedFormCDF:
     return ClosedFormCDF(0.0, params.sigma_p, params.x_half / HBAR_NM2_ME_PS, norm_constant(params))
 
 
+#: The two guidance laws: Bohm's phase gradient and its density-anchored revision.
+THEORIES = ("dbb", "revised")
+
+
 class GuidanceField:
     """Momentum field of one guidance law for a set of anchored trajectories.
 
@@ -472,8 +476,8 @@ class GuidanceField:
     """
 
     def __init__(self, theory: str, params: DoubleSlitParams, x0=None, p0=None, t0: float = 0.0):
-        if theory not in ("dbb", "revised"):
-            raise ValueError(f"theory must be 'dbb' or 'revised', got {theory!r}")
+        if theory not in THEORIES:
+            raise ValueError(f"theory must be one of {THEORIES}, got {theory!r}")
         self.params = params
         self.x0 = self.delta_p = None
         if theory == "revised":

@@ -35,12 +35,12 @@ import pytest
 from scipy.integrate import quad
 
 from qtraj import (
+    EnsembleConfig,
     InitialCondition,
     IntegrationSchedule,
     SeededStream,
     band_metrics,
     build_histogram,
-    default_config,
     ks_test,
     make_initial_conditions,
     momentum_cdf,
@@ -78,7 +78,7 @@ def full_ensembles(params):
     """Both 40000-trajectory ensembles, seed 1, with wall-clock build times."""
     out = {}
     for theory in ("dbb", "revised"):
-        cfg = default_config(params, theory=theory, n_traj=N_FULL, master_seed=MASTER_SEED)
+        cfg = EnsembleConfig(theory=theory, n_traj=N_FULL, master_seed=MASTER_SEED)
         start = time.perf_counter()
         result = run_ensemble(cfg, params, workers=4)
         out[theory] = (result, time.perf_counter() - start)
@@ -375,7 +375,7 @@ def test_criterion_09_determinism(params, tmp_path):
 def test_criterion_10_crossings(params):
     inversions = {}
     for theory in ("dbb", "revised"):
-        cfg = default_config(params, theory=theory, n_traj=1000, master_seed=MASTER_SEED)
+        cfg = EnsembleConfig(theory=theory, n_traj=1000, master_seed=MASTER_SEED)
         result = run_ensemble(cfg, params, workers=4)
         n_rec = min(len(tr.t) for tr in result.trajectories)
         xs = np.array([tr.x[:n_rec] for tr in result.trajectories])

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.introspect import opt_func_info
 
-from qtraj import DoubleSlitParams, EnsembleResult, default_config, p_bb, rho, run_ensemble
+from qtraj import DoubleSlitParams, EnsembleConfig, EnsembleResult, p_bb, rho, run_ensemble
 from qtraj import dynamics, ensemble
 from qtraj.cli import (
     CONFIG_DEFAULTS,
@@ -56,13 +56,14 @@ def test_defaults():
     setup = parse_config()
     assert setup.params == DoubleSlitParams(50.0, 10.0)
     cfg = setup.config
-    assert cfg == default_config(setup.params)  # CLI and library defaults are one
+    assert cfg == EnsembleConfig()  # CLI and library defaults are one
     assert cfg.n_traj == 40000
     assert cfg.theory == "revised"
     assert cfg.master_seed == 1
     assert cfg.schedule.t0 == 0.0 and cfg.schedule.t_final == 5.0
     assert cfg.schedule.dt_base == 0.005
-    assert cfg.slice_times == (0.0, 3.5, 5.0)
+    assert setup.slice_times == (0.0, 3.5, 5.0)
+    assert setup.bins == 200
     assert set(CONFIG_DEFAULTS) == {
         "x_half_nm", "sigma_nm", "mass_me", "n_traj", "theory", "seed",
         "t0_ps", "t_final_ps", "dt_ps", "slices_ps", "bins", "out_dir",
@@ -75,7 +76,7 @@ def test_config_file_roundtrip(tmp_path):
     assert setup.params.sigma == 8.0
     assert setup.config.n_traj == 77
     assert setup.config.theory == "dbb"
-    assert setup.config.slice_times == (0.0, 2.5)
+    assert setup.slice_times == (0.0, 2.5)
 
 
 def test_overrides_beat_file(tmp_path):
@@ -356,7 +357,7 @@ def test_workers_below_one_rejected(tmp_path, capsys, workers):
         assert not out.exists()
     params = DoubleSlitParams(50.0, 10.0)
     with pytest.raises(ValueError, match="^workers must be >= 1"):
-        run_ensemble(default_config(params, theory="dbb", n_traj=8), params, workers=workers)
+        run_ensemble(EnsembleConfig(theory="dbb", n_traj=8), params, workers=workers)
 
 
 def test_run_cli_flag_overrides(tmp_path, capsys):
@@ -424,10 +425,10 @@ def test_compare_with_empty_slices_exits_zero(tmp_path, capsys):
 def test_empty_slice_report_is_nan_and_failed(tmp_path):
     """A slice no trajectory reaches reports a nan KS statistic and a failed test."""
     params = DoubleSlitParams(50.0, 10.0)
-    res = run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2), params)
+    res = run_ensemble(EnsembleConfig(theory="dbb", n_traj=8, master_seed=2), params)
     cut = replace(res.trajectories, n_records=np.full(8, 20), status=np.full(8, "node_stalled", dtype=object))
     stopped = EnsembleResult(config=res.config, params=params, trajectories=cut)
-    reports = [build_slice_report(stopped, 3.5, obs) for obs in ("position", "momentum")]
+    reports = [build_slice_report(stopped, 3.5, obs, 200) for obs in ("position", "momentum")]
     for report in reports:
         assert report.slice.n_contributing == 0 and report.slice.n_excluded == 8
         assert np.isnan(report.ks.statistic) and not report.ks.passed
@@ -440,7 +441,7 @@ def test_empty_slice_report_is_nan_and_failed(tmp_path):
 @functools.cache
 def _small_dbb_result() -> EnsembleResult:
     params = DoubleSlitParams(50.0, 10.0)
-    return run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2), params)
+    return run_ensemble(EnsembleConfig(theory="dbb", n_traj=8, master_seed=2), params)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -468,7 +469,7 @@ def test_slice_counts_the_lanes_recorded_at_its_time(counts, cap, on_grid, k, fr
     t = float(times[k]) if on_grid else float(times[0] + fraction * (times[-1] - times[0]))
     reached = int(np.count_nonzero(times[n_rec - 1] >= t - 1e-9 * max(1.0, abs(t))))
     for observable in ("position", "momentum"):
-        report = build_slice_report(stopped, t, observable)
+        report = build_slice_report(stopped, t, observable, 200)
         assert report.slice.n_contributing + report.slice.n_excluded == 8
         if observable == "position":
             assert report.slice.n_contributing == reached
@@ -499,6 +500,63 @@ def test_histogram_ranges_follow_bins_and_t_final(tmp_path):
         table = block.split("columns = bin_lo bin_hi count density oracle_density\n")[1]
         rows = [line.split() for line in table.splitlines() if line]
         assert [row[0] for row in rows] + [rows[-1][1]] == [f"{edge:.10g}" for edge in edges[observable]]
+
+
+def _run_at_scale(out, theory, lam, mu):
+    """``qtraj run`` at the paper's physics under x -> lam x, m -> mu m,
+    t -> lam^2 mu t, with one base cell per record: the CSV's rows and the
+    lines of the histogram document."""
+    k = lam * lam * mu
+    cfg = _write_config(
+        out, x_half_nm=50.0 * lam, sigma_nm=10.0 * lam, mass_me=mu, t_final_ps=5.0 * k, dt_ps=0.125 * k,
+        slices_ps=", ".join(repr(k * t) for t in (0.0, 2.5, 3.5, 5.0)), bins=50, n_traj=256, seed=1,
+        theory=theory, out_dir=out / "o",
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in (out / "o" / "trajectories.csv").read_text(encoding="ascii").splitlines()[1:]]
+    return rows, (out / "o" / "histograms.txt").read_text(encoding="ascii").splitlines()
+
+
+@pytest.fixture(scope="module")
+def unscaled_cli_runs(tmp_path_factory):
+    runs = {}
+
+    def run(theory):
+        if theory not in runs:
+            runs[theory] = _run_at_scale(tmp_path_factory.mktemp(f"unscaled-{theory}"), theory, 1.0, 1.0)
+        return runs[theory]
+
+    return run
+
+
+@pytest.mark.parametrize(("lam", "mu"), [(2.0, 1.0), (1.0, 4.0), (4.0, 0.25), (2.0, 0.25), (0.5, 4.0)], ids=str)
+@pytest.mark.parametrize("theory", ["dbb", "revised"])
+def test_run_is_scale_covariant(tmp_path, unscaled_cli_runs, theory, lam, mu):
+    """Under x -> lam x, m -> mu m, t -> lam^2 mu t (powers of two, with
+    lam^2 mu >= 1 so both record grids take every base cell), ``qtraj run``
+    writes t, x and p scaled bit for bit with the same statuses, and the
+    same histogram counts and report fields; the side-band peak, a momentum
+    density printed to 10 digits, scales by lam to 1e-9."""
+    base_rows, base_lines = unscaled_cli_runs(theory)
+    rows, lines = _run_at_scale(tmp_path, theory, lam, mu)
+    k = lam * lam * mu
+    assert len(rows) == len(base_rows)
+    (base_id, base_t, base_x, base_p, base_status), (ids, t, x, p, status) = zip(*base_rows), zip(*rows)
+    assert ids == base_id and status == base_status
+    for got, want, scale in ((t, base_t, k), (x, base_x, lam), (p, base_p, 1.0 / lam)):
+        np.testing.assert_array_equal(np.array(got, dtype=float), scale * np.array(want, dtype=float))
+
+    assert len(lines) == len(base_lines)
+    for line, base in zip(lines, base_lines):
+        if line.startswith("[slice]"):
+            time_ps, rest = base.removeprefix("[slice] time_ps = ").split(" ", 1)
+            assert line == f"[slice] time_ps = {k * float(time_ps):.10g} {rest}"
+        elif line.startswith("side_band_peak = "):
+            assert float(line.split(" = ")[1]) == pytest.approx(lam * float(base.split(" = ")[1]), rel=1e-9)
+        elif " = " in line:
+            assert line == base
+        elif line:
+            assert line.split()[2] == base.split()[2]  # count
 
 
 def test_verify_passes(capsys):
@@ -806,8 +864,8 @@ def test_trajectories_csv_matches_row_by_row_serialization(tmp_path, theory):
 def test_writers_return_the_sha256_of_their_bytes(tmp_path):
     """Each data file is hashed as it is written; the digest is the file's."""
     params = DoubleSlitParams(50.0, 10.0)
-    result = run_ensemble(default_config(params, theory="revised", n_traj=300, master_seed=4), params)
-    reports = [build_slice_report(result, 3.5, obs) for obs in ("position", "momentum")]
+    result = run_ensemble(EnsembleConfig(theory="revised", n_traj=300, master_seed=4), params)
+    reports = [build_slice_report(result, 3.5, obs, 200) for obs in ("position", "momentum")]
     for written in (write_trajectories(result, tmp_path / "t.csv"), write_histograms(reports, tmp_path / "h.txt")):
         assert written.sha256 == hashlib.sha256(written.path.read_bytes()).hexdigest()
         assert Path(written) == written.path  # usable wherever a path is
@@ -819,7 +877,7 @@ def test_csv_writer_memory_is_bounded(tmp_path):
     its traced peak does not grow from 2048 to 8192 lanes by more than one
     block's x and p fields, and stays below 8 MB."""
     params = DoubleSlitParams(50.0, 10.0)
-    full = run_ensemble(default_config(params, theory="dbb", n_traj=8192, master_seed=1), params)
+    full = run_ensemble(EnsembleConfig(theory="dbb", n_traj=8192, master_seed=1), params)
     cols = full.trajectories
     head = dynamics.TrajectoryColumns(
         cols.ics[:2048], cols.t, cols.x[:2048], cols.p[:2048], cols.n_records[:2048], cols.status[:2048]

@@ -18,7 +18,6 @@ from qtraj import (
     SeededStream,
     band_metrics,
     build_histogram,
-    default_config,
     ks_test,
     make_initial_conditions,
     momentum_cdf,
@@ -34,13 +33,13 @@ from qtraj.wavefield import GuidanceField, p_bb, p_revised, rho
 
 @pytest.fixture(scope="module")
 def small_run(params):
-    cfg = default_config(params, theory="revised", n_traj=96, master_seed=11)
+    cfg = EnsembleConfig(theory="revised", n_traj=96, master_seed=11)
     return cfg, run_ensemble(cfg, params, workers=2)
 
 
 @pytest.fixture(scope="module")
 def small_run_dbb(params):
-    cfg = default_config(params, theory="dbb", n_traj=96, master_seed=11)
+    cfg = EnsembleConfig(theory="dbb", n_traj=96, master_seed=11)
     return cfg, run_ensemble(cfg, params, workers=2)
 
 
@@ -59,23 +58,6 @@ def test_histogram_edge_validation(params):
         pos, mom = histogram_edges(params, 5.0, n_bins)
         np.testing.assert_array_equal(pos, np.linspace(pos[0], pos[-1], n_bins + 1))
         np.testing.assert_array_equal(mom, np.linspace(mom[0], mom[-1], n_bins + 1))
-
-
-def test_config_rejects_out_of_span_slices(schedule):
-    with pytest.raises(ValueError):
-        EnsembleConfig(
-            n_traj=10,
-            theory="dbb",
-            master_seed=1,
-            schedule=schedule,
-            slice_times=(0.0, 7.0),
-            n_bins=200,
-        )
-
-
-def test_config_rejects_no_bins(params):
-    with pytest.raises(ValueError, match="n_bins"):
-        default_config(params, n_bins=0)
 
 
 def test_histogram_edges_symmetric(params):
@@ -100,7 +82,7 @@ def test_run_ensemble_counts_and_digest(params, small_run):
 
 
 def test_run_ensemble_worker_independent(params):
-    cfg = default_config(params, theory="revised", n_traj=40, master_seed=23)
+    cfg = EnsembleConfig(theory="revised", n_traj=40, master_seed=23)
     a = run_ensemble(cfg, params, workers=1)
     b = run_ensemble(cfg, params, workers=4)
     assert a.data_digest() == b.data_digest()
@@ -110,7 +92,7 @@ def test_shared_quantile_tables_under_thread_contention(params, monkeypatch, see
     """Eight batches on four threads, switching every microsecond, first
     invert each record time's position law together; each distinct law
     still builds one seed table, and the ensemble equals the one-batch build."""
-    cfg = default_config(params, theory="revised", n_traj=256, master_seed=23)
+    cfg = EnsembleConfig(theory="revised", n_traj=256, master_seed=23)
     monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
     interval = sys.getswitchinterval()
     try:
@@ -249,7 +231,7 @@ def test_final_momentum_ks_ordering(params):
     cdf = momentum_cdf(params)
     stats = {}
     for theory in ("dbb", "revised"):
-        cfg = default_config(params, theory=theory, n_traj=2000, master_seed=3)
+        cfg = EnsembleConfig(theory=theory, n_traj=2000, master_seed=3)
         res = run_ensemble(cfg, params, workers=4)
         sl = slice_values(res, 5.0, "momentum")
         stats[theory] = ks_test(np.asarray(sl.values), cdf).statistic
@@ -274,7 +256,7 @@ def test_revised_stall_fraction_regression(params, schedule):
 
 @pytest.fixture(scope="module")
 def revised_512(params):
-    cfg = default_config(params, theory="revised", n_traj=512, master_seed=1)
+    cfg = EnsembleConfig(theory="revised", n_traj=512, master_seed=1)
     return run_ensemble(cfg, params, workers=4)
 
 
@@ -388,7 +370,7 @@ def test_slicer_on_a_final_interval_inside_tol(params):
     n_base = 4 * 10**9 + 1
     sched = IntegrationSchedule(dt_base=5.0 / n_base)
     assert sched.n_base == n_base and sched.record_times.size == 42
-    res = run_ensemble(default_config(params, theory="dbb", n_traj=8, master_seed=2, schedule=sched), params)
+    res = run_ensemble(EnsembleConfig(theory="dbb", n_traj=8, master_seed=2, schedule=sched), params)
     cut = np.where(np.arange(8) % 2 == 0, sched.record_times.size - 1, sched.record_times.size)
     res = EnsembleResult(config=res.config, params=params, trajectories=replace(res.trajectories, n_records=cut))
     for t in (5.0, 5.0 - 1.25e-9, 5.0 - 1e-8):

@@ -5,10 +5,12 @@ nor running ``qtraj verify`` loads scipy, the ensemble module runs the
 exact-transport engine, both engines return one result type, the CLI
 writes every file through one hashing writer, and the wave field evaluates
 both laws through one density kernel and one CDF kernel with one Faddeeva
-series, reached only through the law object, and the sampler draws every
-stream of a batch from one Philox call."""
+series, reached only through the law object, the sampler draws every
+stream of a batch from one Philox call, and the README's library example
+runs."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -20,6 +22,7 @@ import pytest
 
 import qtraj.dynamics
 import qtraj.ensemble
+import qtraj.sampling
 import qtraj.wavefield
 from qtraj import SeededStream, make_initial_conditions
 
@@ -42,20 +45,24 @@ def _defined(names):
 
 
 def test_public_names():
-    """The package exports exactly the 24 names of the pipeline, each one
-    resolves, and no module defines the deleted histogram spec, slice
-    exception, peak bound or per-band metrics."""
+    """The package exports exactly the 23 names of the pipeline, each one
+    resolves, ``EnsembleConfig`` holds only what determines an ensemble, and
+    no module defines the deleted histogram spec, slice exception, peak
+    bound, per-band metrics or config wrapper."""
     public = {
         "HBAR_NM2_ME_PS", "THEORIES", "DoubleSlitParams", "NodeSingularity",
         "psi", "rho", "p_bb", "p_revised", "position_cdf", "momentum_cdf",
         "schrodinger_residual", "continuity_residual",
         "SeededStream", "InitialCondition", "make_initial_conditions",
-        "IntegrationSchedule", "EnsembleConfig", "EnsembleResult", "default_config", "run_ensemble",
+        "IntegrationSchedule", "EnsembleConfig", "EnsembleResult", "run_ensemble",
         "slice_values", "build_histogram", "ks_test", "band_metrics",
     }
-    assert len(qtraj.__all__) == len(public) == 24
+    assert len(qtraj.__all__) == len(public) == 23
     assert set(qtraj.__all__) == public
     assert all(getattr(qtraj, name, None) is not None for name in public)
+    fields = [f.name for f in dataclasses.fields(qtraj.EnsembleConfig)]
+    assert fields == ["n_traj", "theory", "master_seed", "schedule"]
+    assert qtraj.THEORIES is qtraj.sampling.THEORIES is qtraj.wavefield.THEORIES
     modules = {
         qtraj.dynamics: ("Trajectory",),
         qtraj.ensemble: ("Histogram", "KSResult", "TimeSlice", "histogram_edges", "ks_critical"),
@@ -65,7 +72,9 @@ def test_public_names():
         ),
     }
     assert all(hasattr(module, name) for module, names in modules.items() for name in names)
-    deleted = {"HistogramSpec", "SliceOutOfRange", "rho_peak_bound", "central_dip_metric", "side_band_peak"}
+    deleted = {
+        "HistogramSpec", "SliceOutOfRange", "rho_peak_bound", "central_dip_metric", "side_band_peak", "default_config",
+    }
     assert not _defined(deleted), f"deleted names are back: {_defined(deleted)}"
 
 
@@ -300,3 +309,13 @@ def test_every_stream_comes_from_one_philox_call(params, monkeypatch):
             if isinstance(node, ast.ClassDef) and node.name == "SeededStream":
                 defined += [f"{path.name}:SeededStream.{f.name}" for f in node.body if getattr(f, "name", None) == "generator"]
     assert not defined, f"single-stream samplers are back: {defined}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The ``python`` block under the README's ``## Library`` runs as
+    written, so a README that names a deleted function fails the suite."""
+    readme = (_PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_library"})
+    assert capsys.readouterr().out.strip()
