@@ -65,9 +65,14 @@ _QUANTILE_TABLE_HALF_WIDTHS = 12.0
 #: x exceeds it).
 _QUANTILE_TOL = 1e-14
 _QUANTILE_MAX_ITER = 100
+#: Inner node (1 - 1/sqrt 5) / 2 of the 4-point Gauss-Lobatto rule on [0, 1],
+#: whose weights are 1/12, 5/12, 5/12, 1/12; the rule is exact to degree 5,
+#: with error -delta^7 f^(6)(xi) / 1512000 over an interval of length delta.
+_LOBATTO_NODE = 0.5 - 0.5 / np.sqrt(5.0)
 #: Seed tables kept by :func:`_seed_table` (about 50 kB each): one per record
 #: time of a default run up to 16 ps.  One lock makes each law's table a
-#: single build, however many threads invert that law at once.
+#: single build, however many threads invert that law at once, while it is
+#: among the last 128 built.
 _SEED_TABLES = 128
 _SEED_TABLE_LOCK = threading.Lock()
 
@@ -306,13 +311,15 @@ def _cumulative(x, center, width, wave, norm):
     x = np.asarray(x, dtype=float)
     left = -np.abs(x)
     q, g, k = left / width, center / width, wave * width
-    s = np.stack(((left - center) / width, (left + center) / width)) * -_SQRT_HALF
+    # at center 0 (the momentum law) both packets' rows are one array
+    centers = (center,) if center == 0 else (center, -center)
+    s = np.stack([(left - c) / width for c in centers]) * -_SQRT_HALF
     with np.errstate(under="ignore"):
         fringe = np.real(np.exp(2.0j * k * q) * _faddeeva((-q + 2.0j * k) * _SQRT_HALF))
         cross = np.exp(-0.5 * (q * q + g * g)) * fringe
         tails = 0.5 * np.exp(-s * s) * _faddeeva(np.abs(s))
     gauss = np.where(s < 0.0, 1.0 - tails, tails)
-    lower = _flush_tail((gauss[0] + gauss[1] + cross) / norm)
+    lower = _flush_tail((gauss[0] + gauss[-1] + cross) / norm)
     return np.where(x > 0.0, 1.0 - lower, lower)
 
 
@@ -350,12 +357,20 @@ class ClosedFormCDF:
         over +-(center + 12 width) brackets each u and seeds it by monotone
         cubic Hermite interpolation of x(F); beyond the table the bracket
         reaches +-(center + 40 width), where F has underflowed to 0 or 1.
-        Newton steps x -= (F - u) / pdf then refine it inside the bracket,
+        The first Newton step x -= (F - u) / pdf takes F at the seed from
+        the table: its F at the bracket's left node plus the 4-point
+        Gauss-Lobatto rule of the density up to the seed, which costs two
+        densities beyond the pdf the step divides by, and no closed-form F
+        (at the paper's physics it is within 6e-16 of the closed form).  The
+        step is kept where it is finite and strictly inside the bracket.
+        Newton steps on the closed-form F then refine x inside the bracket,
         bisecting whenever a step would leave it, until an evaluation
         confirms |F(x) - u| <= ``_QUANTILE_TOL`` or the bracket spans
-        adjacent doubles.  All entries of all rows share one Newton pass, but
-        each entry's arithmetic depends only on its own u and law, not on
-        the other entries.  Each row's table comes from :func:`_seed_table`.
+        adjacent doubles; an entry whose first step the rule misjudged
+        (fringes finer than the nodes) only takes more of them.  All entries
+        of all rows share one Newton pass, but each entry's arithmetic
+        depends only on its own u and law, not on the other entries.  Each
+        row's table comes from :func:`_seed_table`.
         """
         shape = np.shape(u)
         with _SEED_TABLE_LOCK:
@@ -392,6 +407,15 @@ class ClosedFormCDF:
                 + (s3 - s2) * m_hi
             )
         seed = np.where(inside & np.isfinite(seed), np.clip(seed, lo, hi), 0.5 * (lo + hi))
+        # F(seed) = F(x_lo) + the Lobatto rule of the density over [x_lo, seed]
+        delta = seed - x_lo
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            pdf_seed, pdf_inner, pdf_outer = ClosedFormCDF(self.center, width, wave, self.norm).pdf(
+                np.stack((seed, x_lo + _LOBATTO_NODE * delta, seed - _LOBATTO_NODE * delta))
+            )
+            swept = (np.take_along_axis(slope, j, axis=1) + pdf_seed) + 5.0 * (pdf_inner + pdf_outer)
+            newton = seed - (f_lo + delta * swept / 12.0 - u) / pdf_seed
+        seed = np.where(inside & np.isfinite(newton) & (newton > lo) & (newton < hi), newton, seed)
 
         u, lo, hi, width, wave = (column.ravel() for column in (u, lo, hi, width, wave))
         active = (u > 0.0) & (u < 1.0)
@@ -425,13 +449,25 @@ class ClosedFormCDF:
 def _seed_table(center: float, width: float, wave: float, norm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes over +-(center + 12 width), the running maximum of the law's F
     on them, and its density: the table that seeds :meth:`ClosedFormCDF.quantile`.
-    Read-only, since one table serves every caller; callers hold
-    ``_SEED_TABLE_LOCK``, so every batch, thread and theory that inverts a
-    law builds its table once."""
+
+    The nodes are ``linspace(-half, 0, 1025)`` and its negation, and the law
+    is evaluated on x <= 0 only: :func:`_cumulative` gives F(x) = 1 - F(-x)
+    and :func:`_density_terms` an even density bit for bit, so the mirrored
+    columns are F and the density on the whole grid.  Read-only, since one
+    table serves every caller; callers hold ``_SEED_TABLE_LOCK``, so every
+    batch, thread and theory that inverts a law shares one build while the
+    table is among the last ``_SEED_TABLES`` built."""
     law = ClosedFormCDF(center, width, wave, norm)
     half = center + _QUANTILE_TABLE_HALF_WIDTHS * width
-    grid = np.linspace(-half, half, _QUANTILE_TABLE_POINTS)
-    table = (grid, np.maximum.accumulate(law(grid)), law.pdf(grid))
+    left = np.linspace(-half, 0.0, _QUANTILE_TABLE_POINTS // 2 + 1)
+    values, densities = law(left), law.pdf(left)
+    mirror = slice(-2, None, -1)  # the nodes below 0, from the middle outwards
+    grid = np.concatenate((left, -left[mirror]))
+    table = (
+        grid,
+        np.maximum.accumulate(np.concatenate((values, 1.0 - values[mirror]))),
+        np.concatenate((densities, densities[mirror])),
+    )
     for column in table:
         column.setflags(write=False)
     return table

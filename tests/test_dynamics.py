@@ -275,6 +275,21 @@ def test_transport_agrees_with_rk4(params, schedule):
         assert not np.any((exact.status != STATUS_COMPLETED) & (rk4.status == STATUS_COMPLETED))
 
 
+def test_transport_spends_one_closed_form_point_per_record(params, schedule, seed_tables, cdf_points):
+    """A 2048-lane dbb transport at the paper's physics builds one table of
+    1025 closed-form points per record time, and beyond those tables spends
+    at most 1.1 closed-form points per transported record: the start's F_0(x0)
+    and the evaluation that confirms each quantile."""
+    ics = make_initial_conditions(2048, SeededStream(1, 0), params, 0.0, "dbb")
+    built = seed_tables.cache_info().misses  # F_t0's, which the sampler inverts
+    cdf_points.clear()
+    columns = integrate_batch(ics, schedule, params)
+    records = np.count_nonzero(np.isfinite(columns.x[:, 1:]))
+    tables = seed_tables.cache_info().misses - built
+    assert tables == schedule.record_times.size - 1
+    assert (sum(cdf_points) - 1025 * tables) / records <= 1.1
+
+
 def test_transport_escape_stops_at_last_record(params, schedule):
     """The runaway anchor RK4 stalls at its speed cap escapes in closed form:
     transport keeps every record whose mass coordinate is still in (0, 1)."""

@@ -683,6 +683,52 @@ def test_position_law_of_several_times_is_its_scalar_laws(params, seed_tables):
         np.testing.assert_array_equal(densities[row], member.pdf(points))
 
 
+@pytest.mark.parametrize("x_half, sigma", [(50.0, 10.0), (0.0, 10.0), (500.0, 0.1)])
+def test_seed_table_evaluates_its_lower_half(x_half, sigma, seed_tables, cdf_points):
+    """A fresh seed table evaluates the closed form at 1025 points, the middle
+    node and those below it, yet on its own mirror-symmetric 2049 nodes it
+    equals the running maximum of the law's F and the law's density bit for
+    bit: for the position law at 0, tau, 3.5 ps and 10^3 tau, and for the
+    momentum law."""
+    params = DoubleSlitParams(x_half=x_half, sigma=sigma)
+    tau = params.dispersion_time
+    laws = [position_cdf(params, t) for t in (0.0, tau, 3.5, 1e3 * tau)] + [momentum_cdf(params)]
+    for law in laws:
+        before = sum(cdf_points)
+        grid, table, density = seed_tables(law.center, law.width, law.wave, law.norm)
+        assert sum(cdf_points) - before == 1025
+        assert grid.size == 2049 and grid[1024] == 0.0 and np.all(np.diff(grid) > 0.0)
+        np.testing.assert_array_equal(grid, -grid[::-1])
+        np.testing.assert_array_equal(table, np.maximum.accumulate(law(grid)))
+        np.testing.assert_array_equal(density, law.pdf(grid))
+
+
+def test_quantile_takes_further_newton_steps_where_the_table_step_misses(monkeypatch):
+    """At sigma = 0.1 nm and X = 500 nm the fringes are finer than the seed
+    table's nodes.  From t = 0 to 10^3 tau every quantile is still finite and
+    confirmed by the closed form: |F(x) - u| <= 1e-14, or a collapsed bracket,
+    with u within F's values one ulp either side of x.  The first Newton step,
+    taken from the table, misses 1e-14 on some entries at 10^3 tau: with one
+    closed-form evaluation per entry they come back unconfirmed (nan), so the
+    further iterations are what confirm them."""
+    params = DoubleSlitParams(x_half=500.0, sigma=0.1)
+    times = np.concatenate(([0.0], params.dispersion_time * np.logspace(-2.0, 3.0, 11)))
+    law = position_cdf(params, times[:, None])
+    u = np.random.default_rng(1000).uniform(0.0, 1.0, (times.size, 1000))
+    x = law.quantile(u)
+    assert np.all(np.isfinite(x))
+    residual = np.abs(law(x) - u)
+    below, above = law(np.nextafter(x, -np.inf)) - u, law(np.nextafter(x, np.inf)) - u
+    collapsed = (below <= _QUANTILE_TOL) & (above >= -_QUANTILE_TOL)
+    assert np.all((residual <= _QUANTILE_TOL) | collapsed)
+    assert np.all(residual[-1] <= _QUANTILE_TOL)
+    monkeypatch.setattr(wavefield, "_QUANTILE_MAX_ITER", 1)
+    first = position_cdf(params, times[-1]).quantile(u[-1])
+    missed = np.isnan(first)
+    assert 0 < np.count_nonzero(missed) < u.shape[1]
+    np.testing.assert_array_equal(first[~missed], x[-1][~missed])
+
+
 @pytest.mark.parametrize("name", list(_REFERENCE_PHYSICS))
 def test_far_field_position_law_is_the_momentum_law(name):
     """At t = 1e12 tau the position law is the momentum law in p = m x / t:
