@@ -192,7 +192,7 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
         # fringe half-wavenumber holds x_half spread(t); neither may overflow
         with np.errstate(all="ignore"):
             law = position_cdf(params, t)
-        far = law.center + 40.0 * law.width
+        far = law.far
         if not (np.isfinite(far) and np.isfinite(law.wave)):
             raise ConfigError(
                 key, f"the position law at t = {t!r} has far bracket x_half + 40 sigma_t = {far!r} and "
@@ -469,8 +469,10 @@ def verify_checks(params: DoubleSlitParams, t_final: float = 5.0, seed: int = 1)
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(seed)
 
-    worst = max(abs(_total_mass(position_cdf(params, t)) - 1.0) for t in (0.0, 1.0, 3.5, t_final))
-    checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{0, 1, 3.5, {t_final:g}}}"))
+    times = (0.0, t_final / 5.0, 7.0 * t_final / 10.0, t_final)  # 0, 1, 3.5 and 5 ps at the default 5 ps
+    worst = max(abs(_total_mass(position_cdf(params, t)) - 1.0) for t in times)
+    shown = ", ".join(f"{t:g}" for t in times)
+    checks.append(("position_norm", worst < 1e-6, f"max |integral - 1| = {worst:.3e} over t in {{{shown}}}"))
     err = abs(_total_mass(momentum_cdf(params)) - 1.0)
     checks.append(("momentum_norm", err < 1e-6, f"|integral - 1| = {err:.3e}"))
 

@@ -12,7 +12,8 @@ revised correction adds an x-independent term to the probability flux.
 :func:`integrate_batch` builds trajectories from that identity: each
 recorded position is the quantile of the closed-form position CDF, and a
 trajectory whose right-hand side leaves (0, 1) has escaped to infinity.
-It works on blocks of record times: the right-hand sides of a whole block
+It fills one set of columns in pieces of lanes on worker threads, each
+piece by blocks of record times: the right-hand sides of a whole block
 come first, then one inversion of the position law at the block's times
 (one law object, one law per time), so each CDF evaluation runs on one
 large array.
@@ -35,6 +36,7 @@ it rides in, so a one-lane slice reproduces its in-batch result bit for bit.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +70,13 @@ STATUS_STALLED = "node_stalled"
 #: Gauss-Legendre rule for the time integral of rho over each record interval.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
-#: The exact transport advances a block of record times at once, about this
-#: many lanes x records, so each CDF inversion works on one large array.
+#: The exact transport moves the lanes in pieces of this many, each piece
+#: on one worker thread: it bounds a piece's working set.  A lane's bits do
+#: not depend on its piece, so any size gives one result.
+_BATCH_SIZE = 2048
+
+#: A piece advances a block of record times at once, about this many
+#: lanes x records, so each CDF inversion works on one large array.
 _BLOCK_POINTS = 16384
 
 
@@ -141,7 +148,8 @@ class TrajectoryColumns(Sequence):
     Lane i holds ``n_records[i]`` samples: ``x[i, :n_records[i]]`` and
     ``p[i, :n_records[i]]`` at times ``t[:n_records[i]]``; later entries of
     its row are unused.  Indexing or iterating yields :class:`Trajectory`
-    views over these arrays.
+    views over these arrays; a slice yields those lanes' columns, whose
+    writes land in these arrays.
     """
 
     ics: InitialCondition  # (n,) batch
@@ -154,57 +162,46 @@ class TrajectoryColumns(Sequence):
     def __len__(self) -> int:
         return len(self.ics)
 
-    def __getitem__(self, i: int) -> Trajectory:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TrajectoryColumns(self.ics[i], self.t, self.x[i], self.p[i], self.n_records[i], self.status[i])
         k = self.n_records[i]
         return Trajectory(ic=self.ics[i], t=self.t[:k], x=self.x[i, :k], p=self.p[i, :k], status=str(self.status[i]))
 
-    @classmethod
-    def concat(cls, ics: InitialCondition, parts: list["TrajectoryColumns"]) -> "TrajectoryColumns":
-        """The lanes of ``parts``, which split the batch ``ics`` in order on one record grid."""
-        if len(parts) == 1:
-            return parts[0]
-        t = parts[0].t
-        if any(not np.array_equal(part.t, t) for part in parts):
-            raise ValueError("trajectory blocks recorded on different grids")
 
-        def joined(name):
-            return np.concatenate([getattr(part, name) for part in parts])
-
-        return cls(ics, t, joined("x"), joined("p"), joined("n_records"), joined("status"))
-
-
-def _start(
-    ics: InitialCondition, schedule: IntegrationSchedule, params: DoubleSlitParams
-) -> tuple[GuidanceField, TrajectoryColumns]:
-    """The guidance field of a batch and its columns on the record grid.
-
-    Each lane holds one record, its start position and momentum at t0 (the
-    drawn p0 under the revised law, the field's under Bohm's), and status
-    ``completed``.  The batch must start at the schedule's t0; raises
-    :class:`NodeSingularity` if the field is undefined at a start position.
-    """
-    n, times = len(ics), schedule.record_times
-    blank = np.full((n, times.size), np.nan)
-    columns = TrajectoryColumns(
-        ics, times, blank, blank.copy(), np.ones(n, dtype=np.int64), np.full(n, STATUS_COMPLETED, dtype=object)
-    )
+def _start(ics: InitialCondition, schedule: IntegrationSchedule) -> TrajectoryColumns:
+    """A batch's columns on the record grid, allocated once: each lane holds
+    one record (see :func:`_anchor`) and status ``completed``."""
     if ics.t0 != schedule.t0:
         raise ValueError("initial-condition t0 must match the schedule t0")
+    n, times = len(ics), schedule.record_times
+    blank, status = np.full((n, times.size), np.nan), np.full(n, STATUS_COMPLETED, dtype=object)
+    return TrajectoryColumns(ics, times, blank, blank.copy(), np.ones(n, dtype=np.int64), status)
+
+
+def _anchor(columns: TrajectoryColumns, schedule: IntegrationSchedule, params: DoubleSlitParams) -> GuidanceField:
+    """The guidance field of the lanes of ``columns``, after writing their
+    start record at t0 (the drawn p0 under the revised law, the field's
+    under Bohm's); raises :class:`NodeSingularity` where it is undefined."""
+    ics = columns.ics
     field = GuidanceField(ics.theory, params, ics.x0, ics.p0, schedule.t0)
-    p_start, valid0 = field(ics.x0, schedule.t0, np.arange(n))
+    p_start, valid0 = field(ics.x0, schedule.t0, np.arange(len(ics)))
     if not np.all(valid0):
         raise NodeSingularity("guidance field undefined at an initial condition")
     # the revised field at the anchor is p_bb + (p0 - p_bb), which can miss p0 by an ulp
     columns.x[:, 0], columns.p[:, 0] = ics.x0, p_start if field.delta_p is None else ics.p0
-    return field, columns
+    return field
 
 
 def integrate_batch(
-    ics: InitialCondition,
-    schedule: IntegrationSchedule,
-    params: DoubleSlitParams,
+    ics: InitialCondition, schedule: IntegrationSchedule, params: DoubleSlitParams, workers: int = 1
 ) -> TrajectoryColumns:
     """Trajectories of a same-theory batch by exact mass-coordinate transport.
+
+    The columns are allocated once; a pool of ``workers`` threads (so a
+    caller's numpy ``errstate`` never reaches them) fills them in pieces of
+    ``_BATCH_SIZE`` lanes, each piece its own rows.  Any worker count gives
+    one result; below 1 raises ValueError.
 
     Records fall on the schedule's record grid, which :func:`rk4_batch`
     shares; no step loop runs, so RK4's step control plays no part.  At each
@@ -212,25 +209,35 @@ def integrate_batch(
     is advanced by an 8-point Gauss-Legendre rule over the record interval,
     and x is the inverse of the closed-form mass coordinate at u.
 
-    The active lanes advance a block of record times at once, about
+    A piece's active lanes advance a block of record times at once, about
     ``_BLOCK_POINTS`` lanes x records: rho at the 8 nodes of every record of
     the block in one broadcast call, each record's nodes summed in node
-    order and the pieces added record by record, as one record at a time
+    order and the intervals added record by record, as one record at a time
     would; then ``position_cdf(params, t_hi[:, None])``, the position law
     of the block's record times, is inverted in one Newton pass, each
     record time seeded from its own cached table (1025 closed-form points,
     mirrored to 2049 nodes), whose first Newton step needs no closed-form
     F; so each record costs about one closed-form evaluation, the one that
-    confirms its x.  A lane
-    keeps the records before its first failing one in the block, and stops
-    there marked ``node_stalled``: where its u leaves (0, 1) (it has
-    escaped to infinity), where its inverse is not finite (it did not
-    converge), or where its x sits below the node floor (no momentum is
-    defined).  Momenta are the guidance field at the exact x.  Every lane's
-    records are a prefix of the one grid, so the batch comes back as
-    columns.
+    confirms its x.  A lane keeps the records before its first failing one
+    in the block, and stops there marked ``node_stalled``: where its u
+    leaves (0, 1) (it has escaped to infinity), where its inverse is not
+    finite (it did not converge), or where its x sits below the node floor
+    (no momentum is defined).  Momenta are the guidance field at the exact
+    x.  Every lane's records are a prefix of the one grid, so the batch
+    comes back as columns.
     """
-    field, columns = _start(ics, schedule, params)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    columns = _start(ics, schedule)
+    pieces = [columns[i : i + _BATCH_SIZE] for i in range(0, len(ics), _BATCH_SIZE)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda piece: _transport(piece, schedule, params), pieces))
+    return columns
+
+
+def _transport(columns: TrajectoryColumns, schedule: IntegrationSchedule, params: DoubleSlitParams) -> None:
+    """Fill the rows of one piece of :func:`integrate_batch`, block by block."""
+    field = _anchor(columns, schedule, params)
     times, rec_x, rec_p, rec_n, status = columns.t, columns.x, columns.p, columns.n_records, columns.status
     x0 = rec_x[:, 0].copy()
     n = x0.size
@@ -251,9 +258,9 @@ def integrate_batch(
             half = 0.5 * (t_hi - times[block - 1])
             nodes = times[block - 1, None] + half[:, None] * (_GL_NODES + 1.0)  # (records, 8)
             densities = rho(x0[lanes], nodes[:, :, None], params)  # (records, 8, lanes)
-            piece = sum(weight * densities[:, k] for k, weight in enumerate(_GL_WEIGHTS))  # in node order
+            interval = sum(weight * densities[:, k] for k, weight in enumerate(_GL_WEIGHTS))  # in node order
             # record by record down axis 0, as the integral grows
-            sweep = np.add.accumulate(np.vstack((swept[lanes], half[:, None] * piece)), axis=0)[1:]
+            sweep = np.add.accumulate(np.vstack((swept[lanes], half[:, None] * interval)), axis=0)[1:]
             swept[lanes] = sweep[-1]
             u = u + drift[lanes] * sweep
         x = position_cdf(params, t_hi[:, None]).quantile(u)
@@ -269,7 +276,6 @@ def integrate_batch(
         status[stop] = STATUS_STALLED
         active[stop] = False
         first += block.size
-    return columns
 
 
 def rk4_batch(
@@ -284,7 +290,8 @@ def rk4_batch(
     domain or stalls) keeps its records up to its last grid record; its
     state between that record and the stop is not kept.
     """
-    field, columns = _start(ics, schedule, params)
+    columns = _start(ics, schedule)
+    field = _anchor(columns, schedule, params)
     rec_x, rec_p, rec_n, status = columns.x, columns.p, columns.n_records, columns.status
     x, p_cur = rec_x[:, 0].copy(), rec_p[:, 0].copy()
 

@@ -11,14 +11,14 @@ Reproducibility: trajectory i draws from seed stream i regardless of
 ensemble size, a lane's transported values do not depend on the batch it
 rides in, and every statistic is a pure function of the ensemble, so a
 (config, seed) pair fixes all outputs bit for bit at any worker count.
-Fixed-size batches bound the working set of each transport call.
+One transport call fills the run's one set of record columns; its
+fixed-size pieces of lanes bound the transport's working set.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -27,10 +27,6 @@ import numpy as np
 from .dynamics import IntegrationSchedule, TrajectoryColumns, integrate_batch
 from .sampling import SeededStream, make_initial_conditions
 from .wavefield import THEORIES, DoubleSlitParams, GuidanceField
-
-#: Trajectories per transport batch: it bounds each transport call's working
-#: set.  A lane's bits do not depend on its batch, so any size gives one result.
-_BATCH_SIZE = 2048
 
 #: Trajectories per serialized CSV block; bounds the memory of writing and hashing.
 _CSV_BLOCK = 128
@@ -232,25 +228,14 @@ class EnsembleResult:
 def run_ensemble(
     config: EnsembleConfig, params: DoubleSlitParams, workers: int = 1
 ) -> EnsembleResult:
-    """Sample initial conditions and transport the full ensemble exactly.
-
-    Each batch goes through :func:`qtraj.dynamics.integrate_batch`, so a
-    trajectory stops early (status ``node_stalled``) when it escapes to
-    infinity.  A pool of ``workers`` threads transports fixed-size slices
-    of the sampled batch, so a caller's numpy ``errstate`` never reaches
-    them; any worker count yields an identical result.  Stops are recorded
-    with their status, never raised; ``workers`` below 1 raises ValueError.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    """Sample initial conditions and transport them exactly in one
+    :func:`qtraj.dynamics.integrate_batch` call on ``workers`` threads.
+    A trajectory that escapes to infinity stops early with status
+    ``node_stalled``, never raised; any worker count yields an identical
+    result, and ``workers`` below 1 raises ValueError."""
     sched = config.schedule
-    ics = make_initial_conditions(
-        config.n_traj, SeededStream(config.master_seed, 0), params, sched.t0, config.theory
-    )
-    batches = [ics[i : i + _BATCH_SIZE] for i in range(0, len(ics), _BATCH_SIZE)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        batch_results = list(pool.map(lambda b: integrate_batch(b, sched, params), batches))
-    return EnsembleResult(config=config, params=params, trajectories=TrajectoryColumns.concat(ics, batch_results))
+    ics = make_initial_conditions(config.n_traj, SeededStream(config.master_seed, 0), params, sched.t0, config.theory)
+    return EnsembleResult(config=config, params=params, trajectories=integrate_batch(ics, sched, params, workers))
 
 
 @dataclass(frozen=True)

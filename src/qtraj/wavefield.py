@@ -342,6 +342,11 @@ class ClosedFormCDF:
     def __call__(self, x) -> np.ndarray:
         return _cumulative(x, self.center, self.width, self.wave, self.norm)
 
+    @property
+    def far(self):
+        """The quantile's outer bracket, center + 40 width: beyond +-far, F has underflowed to 0 or 1."""
+        return self.center + 40.0 * self.width
+
     def pdf(self, x) -> np.ndarray:
         """The law's density at x."""
         _, _, _, total, denom = _density_terms(x, self)
@@ -356,7 +361,7 @@ class ClosedFormCDF:
         A table of F and its density on ``_QUANTILE_TABLE_POINTS`` nodes
         over +-(center + 12 width) brackets each u and seeds it by monotone
         cubic Hermite interpolation of x(F); beyond the table the bracket
-        reaches +-(center + 40 width), where F has underflowed to 0 or 1.
+        reaches +-``far``, where F has underflowed to 0 or 1.
         The first Newton step x -= (F - u) / pdf takes F at the seed from
         the table: its F at the bracket's left node plus the 4-point
         Gauss-Lobatto rule of the density up to the seed, which costs two
@@ -383,7 +388,7 @@ class ClosedFormCDF:
         u = np.asarray(u, dtype=float).reshape(rows, -1)
         width = np.broadcast_to(np.reshape(self.width, (-1, 1)), u.shape)
         wave = np.broadcast_to(np.reshape(self.wave, (-1, 1)), u.shape)
-        far = self.center + 40.0 * width
+        far = np.reshape(self.far, (-1, 1))
 
         i = np.stack([np.searchsorted(row, entries, side="right") for row, entries in zip(table, u)])
         lo = np.where(i > 0, np.take_along_axis(grid, np.maximum(i - 1, 0), axis=1), -far)

@@ -577,6 +577,27 @@ def test_verify_time_step_scales_with_mass(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def _verify_values(checks):
+    """(name, passed, printed value) of every verify check, and the times
+    position_norm prints."""
+    values = [(name, passed, detail.split("= ")[1].split()[0]) for name, passed, detail in checks]
+    position_norm = {name: detail for name, _, detail in checks}["position_norm"]
+    return values, [float(t) for t in position_norm.split("{")[1].rstrip("}").split(", ")]
+
+
+@pytest.mark.parametrize(("lam", "mu"), [(2.0, 1.0), (1.0, 4.0), (4.0, 0.25), (0.5, 4.0)], ids=str)
+def test_verify_is_scale_covariant(lam, mu):
+    """Under X -> lam X, sigma -> lam sigma, m -> mu m and t_final -> lam^2 mu
+    t_final (powers of two), every verify check passes or fails as at the
+    paper's physics and prints the same value, and position_norm's times
+    scale with t_final, so no check hides an absolute scale."""
+    base_values, base_times = _verify_values(verify_checks(DoubleSlitParams(50.0, 10.0)))
+    k = lam * lam * mu
+    values, times = _verify_values(verify_checks(DoubleSlitParams(50.0 * lam, 10.0 * lam, mu), t_final=5.0 * k))
+    assert values == base_values
+    assert times == [k * t for t in base_times] and base_times == [0.0, 1.0, 3.5, 5.0]
+
+
 #: (X nm, sigma nm, m m_e): the paper's physics, narrow slits, a light
 #: particle whose packets outgrow sigma, and wide slits.
 _VERIFY_PHYSICS = [(50.0, 10.0, 1.0), (50.0, 0.1, 1.0), (50.0, 10.0, 0.01), (500.0, 10.0, 1.0)]
@@ -896,20 +917,20 @@ def test_csv_writer_memory_is_bounded(tmp_path):
 
 
 def test_compare_builds_one_quantile_table_per_record_time(tmp_path, monkeypatch, seed_tables):
-    """Two batches per theory invert F_t at the same record times, each
-    block of times as one array; each time's quantile table is built once
-    and shared by every batch and both theories.  F_t0, which every batch
-    evaluates at its start, is the one the sampler inverts for both
-    theories' position draws; the only other table is the momentum law of
-    the revised draws."""
-    monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
+    """One transport call per theory, in two pieces each, inverts F_t at
+    the same record times, each block of times as one array; each time's
+    quantile table is built once and shared by every piece and both
+    theories.  F_t0, which every piece evaluates at its start, is the one
+    the sampler inverts for both theories' position draws; the only other
+    table is the momentum law of the revised draws."""
+    monkeypatch.setattr(dynamics, "_BATCH_SIZE", 32)
     inverted = mock.Mock(wraps=dynamics.position_cdf)
     monkeypatch.setattr(dynamics, "position_cdf", inverted)
     batches = mock.Mock(wraps=dynamics.integrate_batch)
     monkeypatch.setattr(ensemble, "integrate_batch", batches)
     cfg = _write_config(tmp_path, n_traj=64, dt_ps=0.02, seed=3, out_dir=tmp_path / "o")
     assert main(["compare", "--config", str(cfg)]) == 0
-    assert batches.call_count == 4
+    assert batches.call_count == 2
     arguments = [np.ravel(call.args[1]) for call in inverted.call_args_list]
     times = set(np.concatenate(arguments).tolist())
     assert len(times) == 43 and 0.0 in times and max(map(len, arguments)) == 42

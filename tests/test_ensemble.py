@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from qtraj import (
     run_ensemble,
     slice_values,
 )
-from qtraj import ensemble
+from qtraj import dynamics, ensemble
 from qtraj.dynamics import TrajectoryColumns, rk4_batch
 from qtraj.ensemble import Histogram, histogram_edges, ks_critical
 from qtraj.wavefield import GuidanceField, p_bb, p_revised, rho
@@ -89,11 +90,11 @@ def test_run_ensemble_worker_independent(params):
 
 
 def test_shared_quantile_tables_under_thread_contention(params, monkeypatch, seed_tables):
-    """Eight batches on four threads, switching every microsecond, first
-    invert each record time's position law together; each distinct law
-    still builds one seed table, and the ensemble equals the one-batch build."""
+    """Eight transport pieces on four threads, switching every microsecond,
+    first invert each record time's position law together; each distinct law
+    still builds one seed table, and the ensemble equals the one-piece build."""
     cfg = EnsembleConfig(theory="revised", n_traj=256, master_seed=23)
-    monkeypatch.setattr(ensemble, "_BATCH_SIZE", 32)
+    monkeypatch.setattr(dynamics, "_BATCH_SIZE", 32)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
@@ -103,8 +104,24 @@ def test_shared_quantile_tables_under_thread_contention(params, monkeypatch, see
     built = seed_tables.cache_info()
     # the position law at each record time and the momentum law of the draws
     assert built.misses == built.currsize == cfg.schedule.record_times.size + 1
-    monkeypatch.undo()  # one batch
+    monkeypatch.undo()  # one piece
     assert result.data_digest() == run_ensemble(cfg, params, workers=1).data_digest()
+
+
+def test_run_holds_its_record_grid_once(params):
+    """A 40000-lane dbb run (0 to 5 ps at dt 0.125 ps, one worker) allocates
+    its x and p record columns once: its traced peak beyond those columns
+    stays below 0.75 of their bytes.  A second copy of the grid, such as
+    joining per-batch columns into a new array, would exceed it."""
+    cfg = EnsembleConfig(theory="dbb", n_traj=40000, schedule=IntegrationSchedule(0.0, 5.0, 0.125))
+    tracemalloc.start()
+    try:
+        result = run_ensemble(cfg, params, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = result.trajectories.x.nbytes + result.trajectories.p.nbytes
+    assert peak - columns < 0.75 * columns, f"peak {peak / 1e6:.1f} MB over {columns / 1e6:.1f} MB of columns"
 
 
 def test_rows_format(small_run):

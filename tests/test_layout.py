@@ -6,8 +6,8 @@ exact-transport engine, both engines return one result type, the CLI
 writes every file through one hashing writer, and the wave field evaluates
 both laws through one density kernel and one CDF kernel with one Faddeeva
 series, reached only through the law object, the sampler draws every
-stream of a batch from one Philox call, and the README's library example
-runs."""
+stream of a batch from one Philox call, only the transport splits lanes
+into pieces and threads, and the README's library example runs."""
 
 import ast
 import dataclasses
@@ -48,7 +48,7 @@ def test_public_names():
     """The package exports exactly the 23 names of the pipeline, each one
     resolves, ``EnsembleConfig`` holds only what determines an ensemble, and
     no module defines the deleted histogram spec, slice exception, peak
-    bound, per-band metrics or config wrapper."""
+    bound, per-band metrics, config wrapper or join of trajectory columns."""
     public = {
         "HBAR_NM2_ME_PS", "THEORIES", "DoubleSlitParams", "NodeSingularity",
         "psi", "rho", "p_bb", "p_revised", "position_cdf", "momentum_cdf",
@@ -74,6 +74,7 @@ def test_public_names():
     assert all(hasattr(module, name) for module, names in modules.items() for name in names)
     deleted = {
         "HistogramSpec", "SliceOutOfRange", "rho_peak_bound", "central_dip_metric", "side_band_peak", "default_config",
+        "concat",
     }
     assert not _defined(deleted), f"deleted names are back: {_defined(deleted)}"
 
@@ -192,9 +193,26 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
 
 
 def test_ensembles_run_the_transport_engine():
-    """The name the ensemble module calls per batch is the dynamics module's
-    exact-transport engine."""
+    """The name the ensemble module calls once per run is the dynamics
+    module's exact-transport engine."""
     assert qtraj.ensemble.integrate_batch is qtraj.dynamics.integrate_batch
+
+
+def test_only_the_transport_partitions_lanes():
+    """Only dynamics.py imports ``ThreadPoolExecutor`` or assigns
+    ``_BATCH_SIZE``, so the transport alone splits a run into pieces and
+    threads, beside its block size."""
+    pools = [
+        path.name for path in _SOURCES
+        for _, name, _ in _imports(ast.parse(path.read_text(encoding="utf-8"))) if name == "ThreadPoolExecutor"
+    ]
+    sizes = [
+        path.name for path in _SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "_BATCH_SIZE" and isinstance(node.ctx, ast.Store)
+    ]
+    assert pools == ["dynamics.py"] and sizes == ["dynamics.py"], f"pool in {pools}, batch size in {sizes}"
+    assert {"_BATCH_SIZE", "_BLOCK_POINTS"} <= set(vars(qtraj.dynamics))
 
 
 @pytest.mark.parametrize("engine", [qtraj.dynamics.integrate_batch, qtraj.dynamics.rk4_batch], ids=lambda f: f.__name__)
